@@ -33,7 +33,7 @@ class DecodeMatrix:
             raise ValidationError(f"decode matrix must be square, got {arr.shape}")
         n = arr.shape[0]
         row_sums = arr.sum(axis=1)
-        if np.max(np.abs(row_sums - 1.0)) > NORM_ATOL:
+        if not np.max(np.abs(row_sums - 1.0)) <= NORM_ATOL:  # also rejects NaN
             raise ValidationError(f"decode rows must sum to 1, got {row_sums}")
         floor = (1.0 - nu) / n
         if np.min(arr) < floor - FLOOR_ATOL:
@@ -61,15 +61,19 @@ class TradeoffPoint:
 
 
 def decode_probabilities(amplitude_row, nu: float) -> np.ndarray:
-    """Decode distribution (1-nu)/N + nu |c_i|^2 for one sealed state."""
+    """Decode distribution (1-nu)/N + nu |c_i|^2 for one sealed state.
+
+    A stack of amplitude rows (N along the last axis) gives one
+    distribution per row.
+    """
     if not 0.0 <= nu <= 1.0:
         raise UsageError(f"nu must lie in [0, 1], got {nu}")
     row = np.asarray(amplitude_row, dtype=complex)
     weights = np.abs(row) ** 2
-    total = float(weights.sum())
-    if abs(total - 1.0) > NORM_ATOL:
+    total = weights.sum(axis=-1)
+    if not np.all(np.abs(total - 1.0) <= NORM_ATOL):
         raise ValidationError(f"amplitude row is not unit-norm: sum |c|^2 = {total}")
-    n = row.shape[0]
+    n = row.shape[-1]
     return (1.0 - nu) / n + nu * weights
 
 
@@ -133,7 +137,7 @@ def average_fidelity(amplitude_row, nu: float) -> float:
     row = np.asarray(amplitude_row, dtype=complex)
     weights = np.abs(row) ** 2
     total = float(weights.sum())
-    if abs(total - 1.0) > NORM_ATOL:
+    if not abs(total - 1.0) <= NORM_ATOL:
         raise ValidationError(f"amplitude row is not unit-norm: sum |c|^2 = {total}")
     coeffs = AttackCoefficients.from_nu(row.shape[0], nu)
     fidelities = (coeffs.a + coeffs.b * weights) ** 2

@@ -39,7 +39,7 @@ class StateVector:
         if arr.size == 0:
             raise ValidationError("state vector must have at least one amplitude")
         norm_sq = float(np.sum(np.abs(arr) ** 2))
-        if abs(norm_sq - 1.0) > NORM_ATOL:
+        if not abs(norm_sq - 1.0) <= NORM_ATOL:  # also rejects NaN
             raise ValidationError(
                 f"state vector is not normalized: sum |a|^2 = {norm_sq!r}"
             )

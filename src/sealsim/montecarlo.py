@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.stats import chi2
 
 from .attacks import (
     MeasurementFamily,
@@ -267,7 +266,7 @@ def chi_square_check(stats: EmpiricalStats, expected) -> tuple[float, bool]:
             f"expected row shape {expected.shape} does not match "
             f"histogram shape {stats.decode_counts.shape}"
         )
-    if abs(float(expected.sum()) - 1.0) > 1e-9:
+    if not abs(float(expected.sum()) - 1.0) <= 1e-9:
         raise UsageError(f"expected probabilities sum to {expected.sum()}, not 1")
 
     counts = stats.decode_counts.astype(float)
@@ -278,8 +277,18 @@ def chi_square_check(stats: EmpiricalStats, expected) -> tuple[float, bool]:
     statistic = float(
         np.sum((counts[~zero_cells] - expected_counts) ** 2 / expected_counts)
     )
-    critical = float(chi2.ppf(CHI_SQUARE_LEVEL, df=len(expected) - 1))
-    return statistic, statistic < critical
+    return statistic, statistic < _chi_square_critical(len(expected) - 1)
+
+
+def _chi_square_critical(df: int) -> float:
+    """CHI_SQUARE_LEVEL quantile of chi-square with df degrees of freedom.
+
+    Same expression as scipy.stats.chi2.ppf; scipy is imported here so
+    that commands without a chi-square check never load it.
+    """
+    from scipy.special import gammaincinv
+
+    return float(2.0 * gammaincinv(df / 2, CHI_SQUARE_LEVEL))
 
 
 def stats_record(config: ExperimentConfig, stats: EmpiricalStats) -> dict:

@@ -39,7 +39,7 @@ class OverlapMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"overlap matrix must be square, got {arr.shape}")
         row_norms = np.sum(np.abs(arr) ** 2, axis=1)
-        bad = np.nonzero(np.abs(row_norms - 1.0) > NORM_ATOL)[0]
+        bad = np.nonzero(~(np.abs(row_norms - 1.0) <= NORM_ATOL))[0]  # also rejects NaN
         if bad.size:
             raise ValidationError(
                 f"overlap rows {bad.tolist()} are not unit-norm "

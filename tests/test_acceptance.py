@@ -12,6 +12,9 @@ import sys
 import pytest
 
 from sealsim import claims
+from sealsim.analysis import decode_probabilities
+from sealsim.attacks import measurement_family
+from sealsim.linalg import StateVector, apply_and_normalize
 
 SEED = 42
 TRIALS = 100_000
@@ -85,3 +88,23 @@ def test_criterion_11_claims_reports_are_byte_identical():
     assert first.returncode == 0, first.stderr.decode()
     assert second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def dense_loop_gap(seed: int) -> float:
+    """Claim 2 one operator at a time through apply_and_normalize."""
+    worst = 0.0
+    for n in (2, 4, 16):
+        for row in claims._random_unit_rows(seed, n, 100):
+            state = StateVector(row)
+            for nu in claims.NU_GRID_FINE:
+                family = measurement_family(n, nu)
+                closed = decode_probabilities(row, nu)
+                for i in range(n):
+                    prob, _ = apply_and_normalize(family.operator(i), state)
+                    worst = max(worst, abs(prob - closed[i]))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [42, 0, 1, 7])
+def test_criterion_02_stacked_operators_match_per_operator_oracle(seed):
+    assert claims._decode_closed_form_gap(seed) == dense_loop_gap(seed)

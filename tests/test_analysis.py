@@ -80,6 +80,28 @@ class TestDecodeMatrix:
         with pytest.raises(ValidationError):
             DecodeMatrix([[0.7, 0.7], [0.5, 0.5]], nu=0.0)
 
+    def test_validation_rejects_nan_rows(self):
+        with pytest.raises(ValidationError):
+            DecodeMatrix([[math.nan, 0.5], [0.5, 0.5]], nu=0.0)
+
+    def test_closed_forms_reject_nan_rows(self):
+        with pytest.raises(ValidationError):
+            decode_probabilities([math.nan, 1.0], 0.5)
+        with pytest.raises(ValidationError):
+            average_fidelity([math.nan, 1.0], 0.5)
+
+    def test_decode_probabilities_of_a_stack_match_row_by_row(self):
+        rows = overlap_matrix(ProductSealSpec.shared_theta("010", 0.3)).coefficients
+        stacked = decode_probabilities(rows, 0.4)
+        for row, probs in zip(rows, stacked):
+            assert np.array_equal(probs, decode_probabilities(row, 0.4))
+
+    def test_decode_probabilities_of_a_stack_reject_any_bad_row(self):
+        rows = np.eye(4, dtype=complex)
+        rows[2, 2] = math.nan
+        with pytest.raises(ValidationError):
+            decode_probabilities(rows, 0.5)
+
 
 class TestFlatPosteriorMass:
     def test_nu_zero_fully_flat(self):

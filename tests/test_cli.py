@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -225,6 +227,52 @@ class TestUsageErrors:
             capsys, "decode-matrix", "--lambda-file", "/nonexistent.json", "--nu", "0.5"
         )
         assert code == 2
+
+
+NON_FINITE_COMMANDS = (
+    ("sweep",),
+    ("decode-matrix", "--nu", "0.5"),
+    ("decode-matrix", "--nu", "0.5", "--format", "json"),
+    ("mc-validate", "--nu", "0.5", "--trials", "100"),
+)
+
+
+class TestNonFiniteAmplitudes:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("command", NON_FINITE_COMMANDS, ids=" ".join)
+    def test_lambda_file_is_a_usage_error(self, capsys, tmp_path, bad, command):
+        # json accepts NaN and Infinity tokens; the norm checks must not
+        path = tmp_path / "non_finite.json"
+        rows = [[[bad, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        path.write_text(json.dumps({"dim": 2, "rows": rows}))
+        code, out, err = run_cli(capsys, *command, "--lambda-file", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
+
+IMPORT_PROBE = """
+import sys
+from sealsim.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert not scipy_modules(), scipy_modules()
+main(["sweep", "--bits", "010", "--theta", "0.3"])
+main(["decode-matrix", "--bits", "010", "--theta", "0.3", "--nu", "0.5"])
+main(["decode-matrix", "--bits", "010", "--theta", "0.3", "--nu", "0.5", "--format", "json"])
+assert not scipy_modules(), scipy_modules()
+main(["claims", "--trials", "1000"])
+assert "scipy.stats" not in sys.modules
+"""
+
+
+def test_commands_without_chi_square_never_import_scipy():
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestResourceLimit:

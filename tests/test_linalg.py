@@ -28,6 +28,11 @@ class TestStateVector:
         with pytest.raises(ValidationError):
             state(math.sqrt(1.0 + 1e-9), 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_amplitudes_are_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            state(bad, 0.0)
+
     def test_dim_matches_amplitudes(self):
         s = state(0.0, 1.0, 0.0)
         assert s.dim == 3

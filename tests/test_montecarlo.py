@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from sealsim.analysis import average_fidelity, decode_probabilities
-from sealsim.errors import ResourceError, UsageError, ValidationError
+from sealsim.errors import DEFAULT_MAX_DIM, ResourceError, UsageError, ValidationError
 from sealsim.montecarlo import (
+    CHI_SQUARE_LEVEL,
     DRAWS_PER_ROUND,
     CoinTossStrategy,
     EmpiricalStats,
     ExperimentConfig,
     ExplicitSealSpec,
     FamilyStrategy,
+    _chi_square_critical,
     chi_square_check,
     draw_table,
     replay_experiment,
@@ -178,6 +180,24 @@ class TestChiSquare:
         stats = EmpiricalStats(decode_counts=[500, 500], pass_count=0, trials=1000)
         with pytest.raises(UsageError):
             chi_square_check(stats, [0.5, 0.25, 0.25])
+
+    def test_nan_expected_row_is_rejected(self):
+        stats = EmpiricalStats(decode_counts=[500, 500], pass_count=0, trials=1000)
+        with pytest.raises(UsageError):
+            chi_square_check(stats, [0.5, math.nan])
+
+    def test_critical_value_equals_scipy_stats_ppf(self):
+        # every df a histogram under the default dimension cap can have
+        from scipy.stats import chi2
+
+        dfs = np.arange(1, DEFAULT_MAX_DIM)
+        reference = chi2.ppf(CHI_SQUARE_LEVEL, dfs)
+        mismatched = [
+            int(df)
+            for df, ref in zip(dfs, reference)
+            if _chi_square_critical(int(df)) != float(ref)
+        ]
+        assert mismatched == []
 
     def test_seeded_run_passes_at_999_level(self):
         config = ExperimentConfig(seal=PI6_SPEC, strategy=FamilyStrategy(0.5), trials=100_000, seed=4242)

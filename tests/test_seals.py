@@ -34,6 +34,11 @@ class TestOverlapMatrix:
         with pytest.raises(ValidationError):
             OverlapMatrix([[1.0, 0.5], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_rows_are_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            OverlapMatrix([[bad, 0.0], [0.0, 1.0]])
+
     def test_must_be_square(self):
         with pytest.raises(ValidationError):
             OverlapMatrix(np.eye(2)[:1])
