@@ -36,6 +36,7 @@ from .montecarlo import (
     CoinTossStrategy,
     ExperimentConfig,
     FamilyStrategy,
+    check_trials_and_seed,
     chi_square_check,
     run_experiment,
 )
@@ -406,7 +407,12 @@ def _guarded(check, number: int, key: str, *args) -> ClaimResult:
 
 
 def run_claims(seed: int = 42, trials: int = 100_000) -> list[ClaimResult]:
-    """Run every claim check; deterministic for fixed (seed, trials)."""
+    """Run every claim check; deterministic for fixed (seed, trials).
+
+    Out-of-range seed or trials raise UsageError before any check runs,
+    so they are never reported as refuted claims.
+    """
+    check_trials_and_seed(trials, seed)
     return [
         _guarded(check_povm_completeness, 1, "povm-completeness"),
         _guarded(check_decode_closed_form, 2, "decode-closed-form", seed),

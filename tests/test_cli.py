@@ -222,6 +222,22 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--seed", "-1", "--trials", "1000"),
+            ("--trials", "0"),
+            ("--seed", str(2**64)),
+        ],
+        ids=" ".join,
+    )
+    def test_claims_out_of_range_flags(self, capsys, flags):
+        # a bad seed or trial count is a usage error, not a refuted claim
+        code, out, err = run_cli(capsys, "claims", *flags)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
     def test_missing_lambda_file(self, capsys):
         code, _, _ = run_cli(
             capsys, "decode-matrix", "--lambda-file", "/nonexistent.json", "--nu", "0.5"
@@ -264,7 +280,9 @@ main(["decode-matrix", "--bits", "010", "--theta", "0.3", "--nu", "0.5"])
 main(["decode-matrix", "--bits", "010", "--theta", "0.3", "--nu", "0.5", "--format", "json"])
 assert not scipy_modules(), scipy_modules()
 main(["claims", "--trials", "1000"])
-assert "scipy.stats" not in sys.modules
+main(["mc-validate", "--bits", "01", "--theta", "0.3", "--nu", "0.5", "--trials", "1000"])
+main(["mc-validate", "--bits", "01", "--theta", "0.3", "--coin-q", "0.5", "--trials", "1000"])
+assert not scipy_modules(), scipy_modules()
 """
 
 
@@ -273,6 +291,37 @@ def test_commands_without_chi_square_never_import_scipy():
         [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stderr
+
+
+SCIPY_BLOCK_RUN = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from sealsim.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+CHI_SQUARE_COMMANDS = (
+    ("claims", "--trials", "1000"),
+    ("mc-validate", "--bits", "01", "--theta", "0.3", "--nu", "0.5", "--trials", "1000"),
+    ("mc-validate", "--bits", "01", "--theta", "0.3", "--coin-q", "0.5", "--trials", "1000"),
+)
+
+
+@pytest.mark.parametrize("command", CHI_SQUARE_COMMANDS, ids=" ".join)
+def test_chi_square_commands_run_without_scipy(command):
+    runs = {
+        mode: subprocess.run(
+            [sys.executable, "-c", SCIPY_BLOCK_RUN, mode, *command],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        for mode in ("blocked", "open")
+    }
+    for result in runs.values():
+        assert result.returncode == 0, result.stderr
+    assert runs["blocked"].stdout == runs["open"].stdout
 
 
 class TestResourceLimit:

@@ -186,18 +186,65 @@ class TestChiSquare:
         with pytest.raises(UsageError):
             chi_square_check(stats, [0.5, math.nan])
 
-    def test_critical_value_equals_scipy_stats_ppf(self):
-        # every df a histogram under the default dimension cap can have
+    def test_zero_cells_do_not_count_as_degrees_of_freedom(self):
+        # two live cells: chi-square 256 is far past the df=1 critical
+        # value (10.8) even though it is below the df=255 one (330.5)
+        expected = np.zeros(256)
+        expected[:2] = 0.5
+        counts = np.zeros(256, dtype=np.int64)
+        counts[:2] = (5800, 4200)
+        stats = EmpiricalStats(decode_counts=counts, pass_count=0, trials=10_000)
+        statistic, ok = chi_square_check(stats, expected)
+        assert statistic == pytest.approx(256.0) and not ok
+
+    def test_single_live_cell_passes_without_a_quantile(self, monkeypatch):
+        import sealsim.montecarlo as mc
+
+        def no_quantile(df):
+            raise AssertionError(f"quantile called with df={df}")
+
+        monkeypatch.setattr(mc, "_chi_square_critical", no_quantile)
+        stats = EmpiricalStats(decode_counts=[0, 1000, 0], pass_count=0, trials=1000)
+        statistic, ok = chi_square_check(stats, [0.0, 1.0, 0.0])
+        assert statistic == 0.0 and ok
+
+    def test_critical_value_matches_scipy_within_tolerance(self):
+        # every df a histogram under the default dimension cap can have,
+        # plus two beyond it for a raised SEALSIM_MAX_DIM
         from scipy.stats import chi2
 
-        dfs = np.arange(1, DEFAULT_MAX_DIM)
+        dfs = list(range(1, DEFAULT_MAX_DIM)) + [8191, 65535]
         reference = chi2.ppf(CHI_SQUARE_LEVEL, dfs)
-        mismatched = [
-            int(df)
+        off = [
+            (df, _chi_square_critical(df), float(ref))
             for df, ref in zip(dfs, reference)
-            if _chi_square_critical(int(df)) != float(ref)
+            if not abs(_chi_square_critical(df) - ref) <= 1e-12 * ref
         ]
-        assert mismatched == []
+        assert off == []
+
+    def test_verdicts_match_scipy_next_to_the_critical_value(self):
+        # cells 0 and 1 expected at (1 +- delta)/N against flat counts K
+        # give chi-square 2 K delta^2 / (1 - delta^2), which is solved for
+        # a statistic just below and just above scipy's critical value
+        from scipy.stats import chi2
+
+        per_cell = 10**6
+        wrong = []
+        for df in range(1, DEFAULT_MAX_DIM):
+            n = df + 1
+            critical = float(chi2.ppf(CHI_SQUARE_LEVEL, df))
+            counts = np.full(n, per_cell, dtype=np.int64)
+            stats = EmpiricalStats(decode_counts=counts, pass_count=0, trials=n * per_cell)
+            for factor in (1 - 1e-10, 1 + 1e-10):
+                target = critical * factor
+                delta = math.sqrt(target / (2 * per_cell + target))
+                expected = np.full(n, 1.0 / n)
+                expected[0], expected[1] = (1 + delta) / n, (1 - delta) / n
+                statistic, ok = chi_square_check(stats, expected)
+                assert statistic == pytest.approx(target, rel=1e-12)
+                if ok != (statistic < critical):
+                    wrong.append((df, factor))
+        assert wrong == []
 
     def test_seeded_run_passes_at_999_level(self):
         config = ExperimentConfig(seal=PI6_SPEC, strategy=FamilyStrategy(0.5), trials=100_000, seed=4242)
