@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import AttackCoefficients
-from .errors import NORM_ATOL, UsageError, ValidationError
-from .seals import OverlapMatrix
+from .errors import NORM_ATOL, UsageError, ValidationError, check_unit_interval, unit_norm_weights
+from .seals import OverlapMatrix, _check_angle
 
 FLOOR_ATOL = 1e-15
 
@@ -66,24 +66,14 @@ def decode_probabilities(amplitude_row, nu: float) -> np.ndarray:
     A stack of amplitude rows (N along the last axis) gives one
     distribution per row.
     """
-    if not 0.0 <= nu <= 1.0:
-        raise UsageError(f"nu must lie in [0, 1], got {nu}")
+    check_unit_interval("nu", nu)
     row = np.asarray(amplitude_row, dtype=complex)
-    weights = np.abs(row) ** 2
-    total = weights.sum(axis=-1)
-    if not np.all(np.abs(total - 1.0) <= NORM_ATOL):
-        raise ValidationError(f"amplitude row is not unit-norm: sum |c|^2 = {total}")
-    n = row.shape[-1]
-    return (1.0 - nu) / n + nu * weights
+    return (1.0 - nu) / row.shape[-1] + nu * unit_norm_weights(row, "amplitude row")
 
 
 def decode_matrix(overlaps: OverlapMatrix, nu: float) -> DecodeMatrix:
     """Full decode matrix, one row per sealed message."""
-    if not 0.0 <= nu <= 1.0:
-        raise UsageError(f"nu must lie in [0, 1], got {nu}")
-    n = overlaps.dim
-    probs = (1.0 - nu) / n + nu * np.abs(overlaps.coefficients) ** 2
-    return DecodeMatrix(probs, nu)
+    return DecodeMatrix(decode_probabilities(overlaps.coefficients, nu), nu)
 
 
 def flat_posterior_mass(dm: DecodeMatrix, decoded: int) -> float:
@@ -127,27 +117,25 @@ def _entropy_bits(distribution: np.ndarray) -> float:
     return float(-np.sum(positive * np.log2(positive)))
 
 
-def average_fidelity(amplitude_row, nu: float) -> float:
+def average_fidelity(amplitude_row, nu: float) -> float | np.ndarray:
     """Expected fidelity between a sealed state and its post-attack state.
 
     For the measurement family this is sum_i (a + b |c_i|^2)^2, the
     outcome-weighted fidelity of the renormalized post states; at nu = 1
-    it collapses to sum_i |c_i|^4.
+    it collapses to sum_i |c_i|^4.  A stack of amplitude rows (N along
+    the last axis) gives an array with one fidelity per row.
     """
     row = np.asarray(amplitude_row, dtype=complex)
-    weights = np.abs(row) ** 2
-    total = float(weights.sum())
-    if not abs(total - 1.0) <= NORM_ATOL:
-        raise ValidationError(f"amplitude row is not unit-norm: sum |c|^2 = {total}")
-    coeffs = AttackCoefficients.from_nu(row.shape[0], nu)
+    weights = unit_norm_weights(row, "amplitude row")
+    coeffs = AttackCoefficients.from_nu(row.shape[-1], nu)
     fidelities = (coeffs.a + coeffs.b * weights) ** 2
-    return float(min(np.sum(fidelities), 1.0))
+    average = np.minimum(fidelities.sum(axis=-1), 1.0)
+    return float(average) if average.ndim == 0 else average
 
 
 def escape_probability(overlaps: OverlapMatrix, nu: float) -> float:
     """Message-averaged post-attack fidelity under a uniform prior."""
-    values = [average_fidelity(row, nu) for row in overlaps.coefficients]
-    return float(np.mean(values))
+    return float(np.mean(average_fidelity(overlaps.coefficients, nu)))
 
 
 def expected_flat_mass(dm: DecodeMatrix) -> float:
@@ -157,13 +145,15 @@ def expected_flat_mass(dm: DecodeMatrix) -> float:
     this expectation equals 1 - nu, the total weight of the attack's
     do-nothing component.
     """
-    n = dm.dim
-    marginals = dm.probabilities.mean(axis=0)
-    total = 0.0
-    for i in range(n):
-        if marginals[i] > 0.0:
-            total += marginals[i] * flat_posterior_mass(dm, i)
-    return total
+    probs = dm.probabilities
+    marginals = probs.mean(axis=0)
+    live = marginals > 0.0
+    # Same order of additions as flat_posterior_mass per column and then
+    # a running total (cumsum): a pairwise sum of the terms, or of the
+    # columns down axis 0, moves the 17-digit result by an ulp.
+    column_sums = np.ascontiguousarray(probs.T).sum(axis=1)
+    terms = marginals[live] * ((1.0 - dm.nu) / column_sums[live])
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def tradeoff_sweep(overlaps: OverlapMatrix, nu_grid) -> list[TradeoffPoint]:
@@ -172,12 +162,9 @@ def tradeoff_sweep(overlaps: OverlapMatrix, nu_grid) -> list[TradeoffPoint]:
     Grid values must lie in [0, 1] and increase strictly.  Points are
     independent; output order follows the grid.
     """
-    grid = [float(v) for v in nu_grid]
+    grid = [check_unit_interval("grid value", float(v)) for v in nu_grid]
     if not grid:
         raise UsageError("nu grid must be non-empty")
-    for v in grid:
-        if not 0.0 <= v <= 1.0:
-            raise UsageError(f"grid value {v} outside [0, 1]")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise UsageError("nu grid must be strictly increasing")
 
@@ -205,10 +192,8 @@ def bit_seal_point(theta: float, nu: float) -> tuple[float, float]:
     fidelity.  Both are reported as computed; no inequality between them
     is asserted here.
     """
-    if not 0.0 <= theta <= math.pi / 4:
-        raise UsageError(f"theta must lie in [0, pi/4], got {theta}")
-    if not 0.0 <= nu <= 1.0:
-        raise UsageError(f"nu must lie in [0, 1], got {nu}")
+    _check_angle(theta, UsageError)
+    check_unit_interval("nu", nu)
     alpha = (1.0 - nu) / 2.0 + nu * math.cos(theta) ** 2
     row = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
     beta = 1.0 - average_fidelity(row, nu)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, check_dim
-from .linalg import DenseOperator, StateVector
+from .errors import UsageError, check_dim, check_unit_interval
+from .linalg import DenseOperator, StateVector, _renormalize
 from .seals import SealedState
 
 
@@ -44,8 +44,7 @@ class AttackCoefficients:
     def from_nu(cls, dim: int, nu: float) -> "AttackCoefficients":
         if dim < 2:
             raise UsageError(f"dimension must be at least 2, got {dim}")
-        if not 0.0 <= nu <= 1.0:
-            raise UsageError(f"nu must lie in [0, 1], got {nu}")
+        check_unit_interval("nu", nu)
         a = math.sqrt((1.0 - nu) / dim)
         b = math.sqrt((1.0 - nu) / dim + nu) - a
         return cls(nu=float(nu), dim=dim, a=a, b=b)
@@ -79,12 +78,9 @@ class MeasurementFamily:
             raise UsageError(f"dimension mismatch: family {self.dim}, state {state.dim}")
         if not 0 <= index < self.dim:
             raise UsageError(f"operator index {index} out of range")
-        raw = self.coeffs.a * state.amplitudes.copy()
+        raw = self.coeffs.a * state.amplitudes
         raw[index] += self.coeffs.b * state.amplitudes[index]
-        prob = float(np.sum(np.abs(raw) ** 2))
-        if prob <= 0.0:
-            return 0.0, None
-        return prob, StateVector(raw / np.sqrt(prob))
+        return _renormalize(raw)
 
     def outcome_probabilities(self, state: StateVector) -> np.ndarray:
         """||Q_i state||^2 for every i, from the structured form."""
@@ -97,10 +93,10 @@ class MeasurementFamily:
     def completeness_deviation(self) -> float:
         """Max-entry deviation of sum_i Q_i^dag Q_i from the identity.
 
-        Small dimensions accumulate the dense expansions directly; large
-        ones accumulate each operator's contribution through the exact
-        identity Q^dag Q = a^2 I + (2ab + b^2)|i><i| (both paths agree,
-        see the test suite).
+        Small dimensions accumulate the dense expansions directly.  Large
+        ones use the exact identity Q^dag Q = a^2 I + (2ab + b^2)|i><i|:
+        the sum is the diagonal matrix (N a^2 + 2ab + b^2) I (both paths
+        agree, see the test suite).
         """
         n = self.dim
         if n <= 128:
@@ -110,11 +106,7 @@ class MeasurementFamily:
                 total += q.conj().T @ q
             return float(np.max(np.abs(total - np.eye(n))))
         a, b = self.coeffs.a, self.coeffs.b
-        diagonal = np.zeros(n)
-        for i in range(n):
-            diagonal += a * a
-            diagonal[i] += 2.0 * a * b + b * b
-        return float(np.max(np.abs(diagonal - 1.0)))
+        return abs(n * a * a + (2.0 * a * b + b * b) - 1.0)
 
 
 def measurement_family(n: int, nu: float) -> MeasurementFamily:
@@ -141,7 +133,7 @@ def run_attack(
             f"dimension mismatch: sealed {sealed.state.dim}, family {family.dim}"
         )
     probs = family.outcome_probabilities(sealed.state)
-    outcome = _sample_index(probs, rng)
+    outcome = int(_sample_index(probs, rng.random()))
     _, post = family.apply(outcome, sealed.state)
     assert post is not None  # sampled outcomes have positive probability
     return AttackOutcome(decoded=outcome, post_state=post, acted=True)
@@ -157,13 +149,11 @@ def coin_toss_attack(
     Per round, the generator is consumed in a fixed order: coin, then
     either the honest-outcome draw or the guess draw.
     """
-    q = read_probability
-    if not 0.0 <= q <= 1.0:
-        raise UsageError(f"read probability must lie in [0, 1], got {q}")
+    q = check_unit_interval("read probability", read_probability)
     n = sealed.state.dim
     if rng.random() < q:
         weights = np.abs(sealed.state.amplitudes) ** 2
-        outcome = _sample_index(weights, rng)
+        outcome = int(_sample_index(weights, rng.random()))
         return AttackOutcome(
             decoded=outcome,
             post_state=StateVector.basis(n, outcome),
@@ -179,9 +169,7 @@ def coin_toss_probabilities(amplitude_row, read_probability: float) -> np.ndarra
     Summing the two branches: q * |c_i|^2 from the honest measurement
     plus (1-q)/N from the uniform idle guess.
     """
-    q = read_probability
-    if not 0.0 <= q <= 1.0:
-        raise UsageError(f"read probability must lie in [0, 1], got {q}")
+    q = check_unit_interval("read probability", read_probability)
     row = np.asarray(amplitude_row, dtype=complex)
     weights = np.abs(row) ** 2
     return q * weights + (1.0 - q) / row.shape[0]
@@ -194,19 +182,20 @@ def coin_toss_escape_probability(amplitude_row, read_probability: float) -> floa
     branch collapses to |i> with probability |c_i|^2 and then passes
     with fidelity |c_i|^2, giving (1-q) + q * sum |c_i|^4.
     """
-    q = read_probability
-    if not 0.0 <= q <= 1.0:
-        raise UsageError(f"read probability must lie in [0, 1], got {q}")
+    q = check_unit_interval("read probability", read_probability)
     row = np.asarray(amplitude_row, dtype=complex)
     quartic = float(np.sum(np.abs(row) ** 4))
     return (1.0 - q) + q * quartic
 
 
-def _sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index with probability proportional to nonnegative weights."""
+def _sample_index(weights: np.ndarray, uniforms):
+    """Outcome index for a uniform draw, or an array of draws, by inverse CDF.
+
+    The weights must sum to 1 within 1e-9.
+    """
     cumulative = np.cumsum(weights)
     total = cumulative[-1]
     if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
         raise UsageError(f"outcome weights sum to {total}, expected 1")
-    index = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
-    return min(index, len(weights) - 1)
+    index = np.searchsorted(cumulative, uniforms * total, side="right")
+    return np.minimum(index, len(weights) - 1)

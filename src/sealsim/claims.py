@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
+    FLOOR_ATOL,
     average_fidelity,
     bit_seal_point,
     decode_matrix,
@@ -43,7 +44,6 @@ from .montecarlo import (
 from .seals import OverlapMatrix, ProductSealSpec, overlap_matrix, product_seal
 
 EXACT_ATOL = 1e-12
-FLOOR_ATOL = 1e-15
 
 THETA_GRID = (0.0, math.pi / 12, math.pi / 6, math.pi / 4)
 THETA_GRID_LABEL = "{0, pi/12, pi/6, pi/4}"
@@ -389,12 +389,12 @@ def check_cross_construction() -> ClaimResult:
 def _guarded(check, number: int, key: str, *args) -> ClaimResult:
     """A crashing check is a failed claim, not a crashed report.
 
-    Resource-limit errors still propagate: hitting the dimension cap is
-    an environment problem, not a refuted claim.
+    Resource-limit errors still propagate: hitting the dimension cap or
+    running out of memory is an environment problem, not a refuted claim.
     """
     try:
         return check(*args)
-    except ResourceError:
+    except (ResourceError, MemoryError):
         raise
     except Exception as exc:  # noqa: BLE001 - deliberate: report and continue
         return ClaimResult(

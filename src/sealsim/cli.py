@@ -71,15 +71,21 @@ def _product_spec_from_args(args) -> ProductSealSpec:
     return ProductSealSpec.shared_theta(args.bits, args.theta)
 
 
-def _overlaps_from_args(args) -> OverlapMatrix:
-    """Resolve the seal flags to an overlap matrix (exactly one source)."""
+def _seal_from_args(args) -> ProductSealSpec | OverlapMatrix:
+    """Resolve the seal flags to exactly one source: bits or a loaded matrix."""
     if (args.bits is None) == (args.lambda_file is None):
         raise UsageError("pass exactly one seal source: --bits or --lambda-file")
     if args.bits is not None:
-        return overlap_matrix(_product_spec_from_args(args))
+        return _product_spec_from_args(args)
     om = load_overlap_matrix(args.lambda_file)
     check_dim(om.dim)
     return om
+
+
+def _overlaps_from_args(args) -> OverlapMatrix:
+    """Resolve the seal flags to an overlap matrix."""
+    seal = _seal_from_args(args)
+    return overlap_matrix(seal) if isinstance(seal, ProductSealSpec) else seal
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -166,17 +172,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_mc_validate(args) -> int:
     if (args.nu is None) == (args.coin_q is None):
         raise UsageError("pass exactly one strategy: --nu or --coin-q")
-    if (args.bits is None) == (args.lambda_file is None):
-        raise UsageError("pass exactly one seal source: --bits or --lambda-file")
-
-    if args.bits is not None:
-        seal = _product_spec_from_args(args)
-    else:
-        om = load_overlap_matrix(args.lambda_file)
-        check_dim(om.dim)
-        if not 0 <= args.message < om.dim:
-            raise UsageError(f"--message {args.message} out of range for dim {om.dim}")
-        seal = ExplicitSealSpec(overlaps=om, message=args.message)
+    seal = _seal_from_args(args)
+    if isinstance(seal, OverlapMatrix):
+        if not 0 <= args.message < seal.dim:
+            raise UsageError(f"--message {args.message} out of range for dim {seal.dim}")
+        seal = ExplicitSealSpec(overlaps=seal, message=args.message)
 
     if args.nu is not None:
         strategy = FamilyStrategy(nu=args.nu)
@@ -270,10 +270,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (UsageError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceError as exc:

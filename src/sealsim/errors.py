@@ -1,6 +1,8 @@
-"""Error types and the global dimension cap."""
+"""Error types, the shared input checks and the global dimension cap."""
 
 import os
+
+import numpy as np
 
 DEFAULT_MAX_DIM = 4096
 MAX_DIM_ENV_VAR = "SEALSIM_MAX_DIM"
@@ -43,3 +45,30 @@ def check_dim(n: int) -> int:
             f"set {MAX_DIM_ENV_VAR} to raise it"
         )
     return n
+
+
+def check_unit_interval(name: str, value: float) -> float:
+    """Return value if it lies in [0, 1], else raise UsageError (NaN too)."""
+    if not 0.0 <= value <= 1.0:
+        raise UsageError(f"{name} must lie in [0, 1], got {value}")
+    return value
+
+
+def unit_norm_weights(amplitudes: np.ndarray, what: str) -> np.ndarray:
+    """|c|^2 of amplitudes whose squares sum to 1 along the last axis.
+
+    Raises ValidationError when a sum is off by more than NORM_ATOL or is
+    not finite, naming the offending rows of a stack.
+    """
+    weights = np.abs(amplitudes) ** 2
+    total = weights.sum(axis=-1)
+    bad = ~(np.abs(total - 1.0) <= NORM_ATOL)  # also rejects NaN and Inf
+    if np.any(bad):
+        if total.ndim == 0:
+            raise ValidationError(f"{what} is not unit-norm: sum |c|^2 = {float(total)!r}")
+        rows = np.flatnonzero(bad)
+        raise ValidationError(
+            f"{what} rows {rows.tolist()} are not unit-norm "
+            f"(sum |c|^2 = {total.reshape(-1)[rows].tolist()})"
+        )
+    return weights

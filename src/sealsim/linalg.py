@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NORM_ATOL, UsageError, ValidationError
+from .errors import UsageError, ValidationError, unit_norm_weights
 
 
 def _frozen_complex(values, ndim: int) -> np.ndarray:
@@ -38,11 +38,7 @@ class StateVector:
         arr = _frozen_complex(amplitudes, ndim=1)
         if arr.size == 0:
             raise ValidationError("state vector must have at least one amplitude")
-        norm_sq = float(np.sum(np.abs(arr) ** 2))
-        if not abs(norm_sq - 1.0) <= NORM_ATOL:  # also rejects NaN
-            raise ValidationError(
-                f"state vector is not normalized: sum |a|^2 = {norm_sq!r}"
-            )
+        unit_norm_weights(arr, "state vector")
         object.__setattr__(self, "amplitudes", arr)
 
     @property
@@ -98,7 +94,11 @@ def apply_and_normalize(
     """
     if op.dim != state.dim:
         raise UsageError(f"dimension mismatch: operator {op.dim}, state {state.dim}")
-    raw = op.entries @ state.amplitudes
+    return _renormalize(op.entries @ state.amplitudes)
+
+
+def _renormalize(raw: np.ndarray) -> tuple[float, StateVector | None]:
+    """(||raw||^2, raw / ||raw||), or (0, None) for a zero vector."""
     prob = float(np.sum(np.abs(raw) ** 2))
     if prob <= 0.0:
         return 0.0, None

@@ -13,7 +13,9 @@ family — outcome, verify; coin toss — coin, outcome-or-guess, verify.
 Unused slots are discarded.  The bulk path vectorizes over the draw
 table; `replay_experiment` walks the same table one round at a time
 through the actual attack and verifier functions, and the test suite
-asserts the two are identical.
+asserts the two are identical.  (The bulk path's pass probabilities are
+closed forms; they may differ from the replayed fidelities by rounding,
+so a draw within an ulp of a threshold could split the two.)
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ import numpy as np
 
 from .attacks import (
     MeasurementFamily,
+    _sample_index,
     coin_toss_attack,
     measurement_family,
     run_attack,
 )
 from .errors import UsageError, ValidationError, check_dim
-from .linalg import StateVector, fidelity
 from .seals import (
     OverlapMatrix,
     ProductSealSpec,
@@ -171,28 +173,19 @@ class _ScriptedRng:
 def _family_tables(
     sealed: SealedState, family: MeasurementFamily
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative outcome distribution and per-outcome pass probabilities."""
-    probs = family.outcome_probabilities(sealed.state)
-    cumulative = np.cumsum(probs)
-    total = float(cumulative[-1])
-    if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
-        raise UsageError(f"outcome weights sum to {total}, expected 1")
-    pass_probs = np.empty(family.dim)
-    for i in range(family.dim):
-        _, post = family.apply(i, sealed.state)
-        pass_probs[i] = 0.0 if post is None else fidelity(sealed.state, post)
-    return cumulative, pass_probs
+    """Outcome probabilities p_i and per-outcome pass probabilities.
 
-
-def _coin_tables(sealed: SealedState) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative honest-outcome distribution and basis-state fidelities."""
-    n = sealed.state.dim
+    Outcome i leaves (a c + b c_i |i>) / sqrt(p_i), whose fidelity with
+    the sealed state c is (a + b |c_i|^2)^2 / p_i; an outcome that never
+    occurs (p_i = 0) never passes.
+    """
+    a, b = family.coeffs.a, family.coeffs.b
     weights = np.abs(sealed.state.amplitudes) ** 2
-    cumulative = np.cumsum(weights)
-    pass_probs = np.array(
-        [fidelity(sealed.state, StateVector.basis(n, i)) for i in range(n)]
-    )
-    return cumulative, pass_probs
+    probs = family.outcome_probabilities(sealed.state)
+    live = probs > 0.0
+    pass_probs = np.zeros(family.dim)
+    pass_probs[live] = np.minimum((a + b * weights[live]) ** 2 / probs[live], 1.0)
+    return probs, pass_probs
 
 
 def run_experiment(config: ExperimentConfig) -> EmpiricalStats:
@@ -207,24 +200,18 @@ def run_experiment(config: ExperimentConfig) -> EmpiricalStats:
 
     if isinstance(config.strategy, FamilyStrategy):
         family = measurement_family(n, config.strategy.nu)
-        cumulative, pass_probs = _family_tables(sealed, family)
-        total = cumulative[-1]
-        outcomes = np.searchsorted(cumulative, draws[:, 0] * total, side="right")
-        np.minimum(outcomes, n - 1, out=outcomes)
+        probs, pass_probs = _family_tables(sealed, family)
+        outcomes = _sample_index(probs, draws[:, 0])
         passes = draws[:, 1] < pass_probs[outcomes]
     else:
-        q = config.strategy.q
-        cumulative, pass_probs = _coin_tables(sealed)
-        total = cumulative[-1]
-        acted = draws[:, 0] < q
-        honest = np.searchsorted(cumulative, draws[:, 1] * total, side="right")
-        np.minimum(honest, n - 1, out=honest)
+        weights = np.abs(sealed.state.amplitudes) ** 2
+        acted = draws[:, 0] < config.strategy.q
+        honest = _sample_index(weights, draws[:, 1])
         guesses = np.minimum((draws[:, 1] * n).astype(np.int64), n - 1)
         outcomes = np.where(acted, honest, guesses)
-        # untouched state: verifier sees the original back; collapsed
-        # state: passes with the basis-state fidelity
-        idle_pass = fidelity(sealed.state, sealed.state)
-        passes = draws[:, 2] < np.where(acted, pass_probs[honest], idle_pass)
+        # collapsed to |i>: passes with fidelity |c_i|^2; untouched: the
+        # verifier sees the original back and passes
+        passes = draws[:, 2] < np.where(acted, weights[honest], 1.0)
 
     counts = np.bincount(outcomes, minlength=n).astype(np.int64)
     return EmpiricalStats(

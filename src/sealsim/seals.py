@@ -22,10 +22,16 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import NORM_ATOL, UsageError, ValidationError, check_dim
+from .errors import UsageError, ValidationError, check_dim, unit_norm_weights
 from .linalg import StateVector, fidelity, tensor_product
 
 THETA_MAX = math.pi / 4
+
+
+def _check_angle(theta: float, error: type[ValueError] = ValidationError) -> None:
+    """Raise `error` unless 0 <= theta <= THETA_MAX (NaN fails too)."""
+    if not 0.0 <= theta <= THETA_MAX:
+        raise error(f"angle {theta} outside [0, pi/4]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,13 +44,7 @@ class OverlapMatrix:
         arr = np.array(coefficients, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"overlap matrix must be square, got {arr.shape}")
-        row_norms = np.sum(np.abs(arr) ** 2, axis=1)
-        bad = np.nonzero(~(np.abs(row_norms - 1.0) <= NORM_ATOL))[0]  # also rejects NaN
-        if bad.size:
-            raise ValidationError(
-                f"overlap rows {bad.tolist()} are not unit-norm "
-                f"(sum |c|^2 = {row_norms[bad].tolist()})"
-            )
+        unit_norm_weights(arr, "overlap matrix")
         arr.setflags(write=False)
         object.__setattr__(self, "coefficients", arr)
 
@@ -77,8 +77,7 @@ class ProductSealSpec:
                 f"{len(self.thetas)} angles"
             )
         for t in self.thetas:
-            if not 0.0 <= t <= THETA_MAX:
-                raise ValidationError(f"angle {t} outside [0, pi/4]")
+            _check_angle(t)
 
     @classmethod
     def shared_theta(cls, bits: str, theta: float) -> "ProductSealSpec":
@@ -175,13 +174,13 @@ def verify_seal(
 def load_overlap_matrix(path) -> OverlapMatrix:
     """Load an overlap matrix from JSON: {"dim": N, "rows": [[[re, im], ...], ...]}."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    try:
-        dim = int(payload["dim"])
-        rows = payload["rows"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"{path}: expected keys 'dim' and 'rows'") from exc
-    arr = np.asarray(rows, dtype=float)
+        try:
+            payload = json.load(fh)
+            dim = int(payload["dim"])
+            arr = np.asarray(payload["rows"], dtype=float)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # not UTF-8 JSON, no integer 'dim', ragged or non-numeric 'rows'
+            raise ValidationError(f"{path}: malformed overlap file: {exc!r}") from exc
     if arr.shape != (dim, dim, 2):
         raise ValidationError(
             f"{path}: 'rows' must be a {dim}x{dim} array of [re, im] pairs, "

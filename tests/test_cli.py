@@ -267,6 +267,33 @@ class TestNonFiniteAmplitudes:
         assert out == ""
 
 
+MALFORMED_LAMBDA_FILES = {
+    "truncated-json": b'{"dim": 2, "rows": [[[1, 0], [0',
+    "non-integer-dim": b'{"dim": "abc", "rows": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+    "ragged-rows": b'{"dim": 2, "rows": [[[1, 0], [0, 0]], [[1, 0]]]}',
+    "non-numeric-amplitude": b'{"dim": 2, "rows": [[["one", 0], [0, 0]], [[0, 0], [1, 0]]]}',
+    "not-utf8": b'{"dim": 2, "rows": "\xff\xfe"}',
+    "directory": None,
+}
+
+
+class TestMalformedLambdaFile:
+    @pytest.mark.parametrize("kind", MALFORMED_LAMBDA_FILES)
+    @pytest.mark.parametrize(
+        "command", (("sweep",), ("mc-validate", "--nu", "0.5", "--trials", "100")), ids=" ".join
+    )
+    def test_is_a_usage_error(self, capsys, tmp_path, kind, command):
+        content = MALFORMED_LAMBDA_FILES[kind]
+        path = tmp_path
+        if content is not None:
+            path = tmp_path / "malformed.json"
+            path.write_bytes(content)
+        code, out, err = run_cli(capsys, *command, "--lambda-file", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
+
 IMPORT_PROBE = """
 import sys
 from sealsim.cli import main
@@ -348,6 +375,18 @@ class TestResourceLimit:
 
 
 class TestClaims:
+    def test_out_of_memory_is_a_resource_error_not_a_failed_claim(self, capsys, monkeypatch):
+        import sealsim.claims
+
+        def out_of_memory(config):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+        monkeypatch.setattr(sealsim.claims, "run_experiment", out_of_memory)
+        code, out, err = run_cli(capsys, "claims", "--trials", "1000")
+        assert code == 3
+        assert "resource error" in err
+        assert out == ""
+
     def test_small_run_passes_and_reports(self, capsys):
         code, out, _ = run_cli(capsys, "claims", "--seed", "42", "--trials", "4000")
         assert code == 0
