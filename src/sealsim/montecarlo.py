@@ -33,7 +33,7 @@ from .attacks import (
     measurement_family,
     run_attack,
 )
-from .errors import UsageError, ValidationError, check_dim
+from .errors import UsageError, ValidationError, check_dim, check_unit_interval
 from .seals import (
     OverlapMatrix,
     ProductSealSpec,
@@ -205,7 +205,7 @@ def run_experiment(config: ExperimentConfig) -> EmpiricalStats:
         passes = draws[:, 1] < pass_probs[outcomes]
     else:
         weights = np.abs(sealed.state.amplitudes) ** 2
-        acted = draws[:, 0] < config.strategy.q
+        acted = draws[:, 0] < check_unit_interval("read probability", config.strategy.q)
         honest = _sample_index(weights, draws[:, 1])
         guesses = np.minimum((draws[:, 1] * n).astype(np.int64), n - 1)
         outcomes = np.where(acted, honest, guesses)

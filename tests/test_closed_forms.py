@@ -29,12 +29,11 @@ from sealsim.analysis import (
     mutual_information,
 )
 from sealsim.attacks import _sample_index, coin_toss_probabilities, measurement_family
-from sealsim.linalg import StateVector, fidelity
+from sealsim.linalg import fidelity
 from sealsim.montecarlo import _family_tables
 from sealsim.seals import (
     OverlapMatrix,
     ProductSealSpec,
-    SealedState,
     load_overlap_matrix,
     overlap_matrix,
     seal_from_overlaps,
@@ -171,14 +170,3 @@ class TestProperties:
     @given(unit_rows(), nus)
     def test_coin_toss_and_family_decode_rows_are_equal(self, row, q):
         assert np.array_equal(coin_toss_probabilities(row, q), decode_probabilities(row, q))
-
-    @fixed
-    @given(unit_rows(), nus)
-    def test_family_tables_match_per_outcome_apply(self, row, nu):
-        sealed = SealedState(state=StateVector(row), message=0, source="general")
-        family = measurement_family(row.size, nu)
-        _, pass_probs = _family_tables(sealed, family)
-        for i, table_value in enumerate(pass_probs):
-            _, post = family.apply(i, sealed.state)
-            expected = 0.0 if post is None else fidelity(sealed.state, post)
-            assert abs(table_value - expected) <= 1e-12

@@ -149,6 +149,13 @@ class TestRunExperiment:
         _, ok = chi_square_check(stats, expected)
         assert ok
 
+    @pytest.mark.parametrize("q", [-0.1, 1.5, math.nan])
+    def test_coin_probability_out_of_range_is_rejected_like_the_replay(self, q):
+        config = ExperimentConfig(seal=PI6_SPEC, strategy=CoinTossStrategy(q), trials=10, seed=1)
+        for path in (run_experiment, replay_experiment):
+            with pytest.raises(UsageError):
+                path(config)
+
 
 class TestChiSquare:
     def test_exact_counts_give_zero(self):
