@@ -27,6 +27,9 @@ GOLDEN = DATA / "golden.json"
 RANDOM = "{data}/random16.json"
 SPARSE = "{data}/sparse16.json"
 MC = ("--trials", "20000")
+# not a multiple of any power-of-two chunk, and more than one chunk of rounds
+MULTI = ("--trials", "100003")
+BITS = ("--bits", "0110", "--theta", "0.5")
 
 COMMANDS = (
     ("claims", "--seed", "42", "--trials", "20000"),
@@ -42,6 +45,11 @@ COMMANDS = (
     ("mc-validate", "--lambda-file", SPARSE, "--message", "7", "--nu", "1", *MC),
     ("mc-validate", "--lambda-file", SPARSE, "--message", "7", "--coin-q", "0.9", *MC),
     ("mc-validate", "--bits", "0110", "--theta", "0.5", "--nu", "0.5", *MC),
+    ("mc-validate", "--lambda-file", RANDOM, "--message", "3", "--nu", "0.37", *MULTI),
+    ("mc-validate", "--lambda-file", RANDOM, "--message", "3", "--coin-q", "0.37", *MULTI),
+    ("mc-validate", *BITS, "--nu", "0.5", *MULTI),
+    ("mc-validate", *BITS, "--coin-q", "0.5", *MULTI),
+    ("claims", "--seed", "42", "--trials", "100003"),
 )
 
 
