@@ -133,7 +133,7 @@ def run_attack(
             f"dimension mismatch: sealed {sealed.state.dim}, family {family.dim}"
         )
     probs = family.outcome_probabilities(sealed.state)
-    outcome = int(_sample_index(probs, rng.random()))
+    outcome = int(_sample_index(_cumulative(probs), rng.random()))
     _, post = family.apply(outcome, sealed.state)
     assert post is not None  # sampled outcomes have positive probability
     return AttackOutcome(decoded=outcome, post_state=post, acted=True)
@@ -153,7 +153,7 @@ def coin_toss_attack(
     n = sealed.state.dim
     if rng.random() < q:
         weights = np.abs(sealed.state.amplitudes) ** 2
-        outcome = int(_sample_index(weights, rng.random()))
+        outcome = int(_sample_index(_cumulative(weights), rng.random()))
         return AttackOutcome(
             decoded=outcome,
             post_state=StateVector.basis(n, outcome),
@@ -188,14 +188,19 @@ def coin_toss_escape_probability(amplitude_row, read_probability: float) -> floa
     return (1.0 - q) + q * quartic
 
 
-def _sample_index(weights: np.ndarray, uniforms):
-    """Outcome index for a uniform draw, or an array of draws, by inverse CDF.
-
-    The weights must sum to 1 within 1e-9.
-    """
+def _cumulative(weights: np.ndarray) -> np.ndarray:
+    """Running sums of outcome weights, which must sum to 1 within 1e-9."""
     cumulative = np.cumsum(weights)
     total = cumulative[-1]
     if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
         raise UsageError(f"outcome weights sum to {total}, expected 1")
-    index = np.searchsorted(cumulative, uniforms * total, side="right")
-    return np.minimum(index, len(weights) - 1)
+    return cumulative
+
+
+def _sample_index(cumulative: np.ndarray, uniforms):
+    """Outcome index for a uniform draw, or an array of draws, by inverse CDF.
+
+    `cumulative` holds the `_cumulative` running sums of the weights.
+    """
+    index = np.searchsorted(cumulative, uniforms * cumulative[-1], side="right")
+    return np.minimum(index, len(cumulative) - 1)

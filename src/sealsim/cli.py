@@ -12,10 +12,12 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from .analysis import (
+    DecodeMatrix,
     average_fidelity,
     decode_matrix,
     decode_probabilities,
@@ -108,24 +110,40 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    _emit_parts((text,), out_path)
+
+
+def _emit_parts(parts: Iterable[str], out_path: str | None) -> None:
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(parts)
+
+
+def _json_float_list(values: list[float], indent: int) -> str:
+    """A list of floats as json.dumps(indent=2) lays it out at this depth.
+
+    repr of a float is the text json writes for it.
+    """
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(map(repr, values)) + "\n" + " " * indent + "]"
+
+
+def _decode_matrix_json(dm: DecodeMatrix) -> Iterator[str]:
+    """The text of json.dumps(payload, indent=2), one matrix row at a time."""
+    yield f'{{\n  "dim": {dm.dim},\n  "nu": {dm.nu!r},\n  "probabilities": [\n    '
+    for i, row in enumerate(dm.probabilities):
+        yield ("" if i == 0 else ",\n    ") + _json_float_list(row.tolist(), 4)
+    row_sums = _json_float_list(dm.probabilities.sum(axis=1).tolist(), 2)
+    yield f'\n  ],\n  "row_sums": {row_sums}\n}}\n'
 
 
 def _cmd_decode_matrix(args) -> int:
     om = _overlaps_from_args(args)
     dm = decode_matrix(om, args.nu)
     if args.format == "json":
-        payload = {
-            "dim": dm.dim,
-            "nu": dm.nu,
-            "probabilities": [[float(p) for p in row] for row in dm.probabilities],
-            "row_sums": [float(s) for s in dm.probabilities.sum(axis=1)],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_parts(_decode_matrix_json(dm), args.out)
         return 0
     header = ",".join(f"p{i}" for i in range(dm.dim)) + ",row_sum"
     lines = [header]
@@ -174,9 +192,12 @@ def _cmd_mc_validate(args) -> int:
         raise UsageError("pass exactly one strategy: --nu or --coin-q")
     seal = _seal_from_args(args)
     if isinstance(seal, OverlapMatrix):
-        if not 0 <= args.message < seal.dim:
-            raise UsageError(f"--message {args.message} out of range for dim {seal.dim}")
-        seal = ExplicitSealSpec(overlaps=seal, message=args.message)
+        message = 0 if args.message is None else args.message
+        if not 0 <= message < seal.dim:
+            raise UsageError(f"--message {message} out of range for dim {seal.dim}")
+        seal = ExplicitSealSpec(overlaps=seal, message=message)
+    elif args.message is not None:
+        raise UsageError("--message applies to --lambda-file; with --bits the bits are the message")
 
     if args.nu is not None:
         strategy = FamilyStrategy(nu=args.nu)
@@ -248,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc-validate", help="sample rounds and check the closed forms")
     _add_seal_flags(p_mc)
-    p_mc.add_argument("--message", type=int, default=0, help="sealed message for --lambda-file")
+    p_mc.add_argument(
+        "--message", type=int, help="sealed message for --lambda-file (default 0)"
+    )
     p_mc.add_argument("--nu", type=float, help="measurement-family read strength")
     p_mc.add_argument("--coin-q", dest="coin_q", type=float, help="coin-toss read probability")
     p_mc.add_argument("--trials", type=int, default=DEFAULT_TRIALS)

@@ -10,17 +10,22 @@ name is recorded in the emitted stats so runs are auditable.
 
 Within its block a round consumes draws in a fixed order: measurement
 family — outcome, verify; coin toss — coin, outcome-or-guess, verify.
-Unused slots are discarded.  The bulk path vectorizes over the draw
-table; `replay_experiment` walks the same table one round at a time
-through the actual attack and verifier functions, and the test suite
-asserts the two are identical.  (The bulk path's pass probabilities are
-closed forms; they may differ from the replayed fidelities by rounding,
-so a draw within an ulp of a threshold could split the two.)
+Unused slots are discarded.  The bulk path walks the draw table chunk
+by chunk: one generator yields consecutive blocks of at most
+CHUNK_ROUNDS rounds, each chunk is vectorized and its histogram and
+pass count are added to the totals, so memory is O(CHUNK_ROUNDS) for
+any trial count and the counts do not depend on the chunk size.
+`replay_experiment` walks the whole table one round at a time through
+the actual attack and verifier functions, and the test suite asserts
+the two are identical.  (The bulk path's pass probabilities are closed
+forms; they may differ from the replayed fidelities by rounding, so a
+draw within an ulp of a threshold could split the two.)
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Union
 
@@ -28,6 +33,7 @@ import numpy as np
 
 from .attacks import (
     MeasurementFamily,
+    _cumulative,
     _sample_index,
     coin_toss_attack,
     measurement_family,
@@ -46,6 +52,7 @@ from .seals import (
 GENERATOR_NAME = "philox4x64"
 CHI_SQUARE_LEVEL = 0.999
 DRAWS_PER_ROUND = 4  # one Philox counter block
+CHUNK_ROUNDS = 1 << 15  # rounds per bulk block: 1 MiB of draws
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,18 +153,34 @@ class EmpiricalStats:
         object.__setattr__(self, "trials", int(trials))
 
 
+def _philox(seed: int) -> np.random.Philox:
+    """The experiment's bit generator: philox4x64 keyed by (seed, 0)."""
+    return np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+
+
 def draw_table(seed: int, trials: int) -> np.ndarray:
     """Uniform draws for all rounds: row r is round r's counter block."""
-    bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    flat = np.random.Generator(bg).random(trials * DRAWS_PER_ROUND)
+    flat = np.random.Generator(_philox(seed)).random(trials * DRAWS_PER_ROUND)
     return flat.reshape(trials, DRAWS_PER_ROUND)
 
 
 def round_block(seed: int, round_index: int) -> np.ndarray:
     """Round r's draws obtained by jumping the counter, not replaying."""
-    bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    bg = _philox(seed)
     bg.advance(round_index)
     return np.random.Generator(bg).random(DRAWS_PER_ROUND)
+
+
+def draw_chunks(seed: int, trials: int) -> Iterator[np.ndarray]:
+    """The draw table's rows in consecutive blocks of at most CHUNK_ROUNDS.
+
+    One generator serves every block, so round r keeps stream positions
+    [4r, 4r+4) and the concatenated blocks equal draw_table(seed, trials).
+    """
+    gen = np.random.Generator(_philox(seed))
+    for start in range(0, trials, CHUNK_ROUNDS):
+        rounds = min(CHUNK_ROUNDS, trials - start)
+        yield gen.random(rounds * DRAWS_PER_ROUND).reshape(rounds, DRAWS_PER_ROUND)
 
 
 class _ScriptedRng:
@@ -192,33 +215,42 @@ def run_experiment(config: ExperimentConfig) -> EmpiricalStats:
     """Replay trials of seal -> attack -> verify; deterministic per config.
 
     Bit-identical to replay_experiment, which drives the per-round attack
-    and verifier functions over the same draw table.
+    and verifier functions over the same draw table.  The tables are built
+    once; the rounds are tallied in draw_chunks blocks.
     """
     sealed = config.sealed_state()
     n = sealed.state.dim
-    draws = draw_table(config.seed, config.trials)
 
     if isinstance(config.strategy, FamilyStrategy):
         family = measurement_family(n, config.strategy.nu)
         probs, pass_probs = _family_tables(sealed, family)
-        outcomes = _sample_index(probs, draws[:, 0])
-        passes = draws[:, 1] < pass_probs[outcomes]
-    else:
-        weights = np.abs(sealed.state.amplitudes) ** 2
-        acted = draws[:, 0] < check_unit_interval("read probability", config.strategy.q)
-        honest = _sample_index(weights, draws[:, 1])
-        guesses = np.minimum((draws[:, 1] * n).astype(np.int64), n - 1)
-        outcomes = np.where(acted, honest, guesses)
-        # collapsed to |i>: passes with fidelity |c_i|^2; untouched: the
-        # verifier sees the original back and passes
-        passes = draws[:, 2] < np.where(acted, weights[honest], 1.0)
+        cumulative = _cumulative(probs)
 
-    counts = np.bincount(outcomes, minlength=n).astype(np.int64)
-    return EmpiricalStats(
-        decode_counts=counts,
-        pass_count=int(np.count_nonzero(passes)),
-        trials=config.trials,
-    )
+        def tally(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            outcomes = _sample_index(cumulative, draws[:, 0])
+            return outcomes, draws[:, 1] < pass_probs[outcomes]
+
+    else:
+        q = check_unit_interval("read probability", config.strategy.q)
+        weights = np.abs(sealed.state.amplitudes) ** 2
+        cumulative = _cumulative(weights)
+
+        def tally(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            acted = draws[:, 0] < q
+            honest = _sample_index(cumulative, draws[:, 1])
+            guesses = np.minimum((draws[:, 1] * n).astype(np.int64), n - 1)
+            # collapsed to |i>: passes with fidelity |c_i|^2; untouched: the
+            # verifier sees the original back and passes
+            passes = draws[:, 2] < np.where(acted, weights[honest], 1.0)
+            return np.where(acted, honest, guesses), passes
+
+    counts = np.zeros(n, dtype=np.int64)
+    pass_count = 0
+    for draws in draw_chunks(config.seed, config.trials):
+        outcomes, passes = tally(draws)
+        counts += np.bincount(outcomes, minlength=n)
+        pass_count += int(np.count_nonzero(passes))
+    return EmpiricalStats(decode_counts=counts, pass_count=pass_count, trials=config.trials)
 
 
 def replay_experiment(config: ExperimentConfig) -> EmpiricalStats:

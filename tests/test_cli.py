@@ -2,12 +2,22 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sealsim.analysis import decode_matrix
 from sealsim.cli import main
-from sealsim.seals import OverlapMatrix, save_overlap_matrix
+from sealsim.seals import (
+    OverlapMatrix,
+    ProductSealSpec,
+    load_overlap_matrix,
+    overlap_matrix,
+    save_overlap_matrix,
+)
+
+DATA = Path(__file__).parent / "data"
 
 PI6 = repr(math.pi / 6)
 PI12 = repr(math.pi / 12)
@@ -63,6 +73,43 @@ class TestDecodeMatrix:
         payload = json.loads(out)
         assert payload["dim"] == 2 and payload["nu"] == 0.5
         assert payload["probabilities"][0] == [0.625, 0.375]
+
+    @pytest.mark.parametrize("nu", ["0", "0.37", "1"])
+    @pytest.mark.parametrize(
+        "seal",
+        [
+            ("--lambda-file", str(DATA / "random16.json")),
+            ("--lambda-file", str(DATA / "sparse16.json")),
+            ("--bits", "1", "--theta", "0.3"),
+            ("--bits", "0110101", "--theta", "0.3"),
+            ("--bits", "1011001110", "--theta", "0.45"),
+        ],
+        ids=["random16", "sparse16", "m1", "m7", "m10"],
+    )
+    def test_json_bytes_equal_json_dumps(self, capsys, seal, nu):
+        if seal[0] == "--lambda-file":
+            overlaps = load_overlap_matrix(seal[1])
+        else:
+            overlaps = overlap_matrix(ProductSealSpec.shared_theta(seal[1], float(seal[3])))
+        dm = decode_matrix(overlaps, float(nu))
+        payload = {
+            "dim": dm.dim,
+            "nu": dm.nu,
+            "probabilities": [[float(p) for p in row] for row in dm.probabilities],
+            "row_sums": [float(s) for s in dm.probabilities.sum(axis=1)],
+        }
+        expected = json.dumps(payload, indent=2) + "\n"
+        code, out, _ = run_cli(capsys, "decode-matrix", *seal, "--nu", nu, "--format", "json")
+        assert code == 0 and out == expected
+
+    def test_json_out_file_has_the_stdout_bytes(self, capsys, tmp_path):
+        argv = ("decode-matrix", "--lambda-file", str(DATA / "random16.json"), "--nu", "0.37",
+                "--format", "json")
+        _, expected, _ = run_cli(capsys, *argv)
+        path = tmp_path / "dm.json"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 0 and out == ""
+        assert path.read_bytes() == expected.encode()
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "dm.csv"
@@ -169,6 +216,27 @@ class TestMcValidate:
         record = json.loads(out)
         assert record["decode_counts"][2] == 2000
         assert record["pass_count"] == 2000
+
+    def test_lambda_file_message_defaults_to_zero(self, capsys, identity4):
+        code, out, _ = run_cli(
+            capsys,
+            "mc-validate", "--lambda-file", identity4,
+            "--nu", "1", "--trials", "2000", "--seed", "0",
+        )
+        assert code == 0
+        assert json.loads(out)["decode_counts"][0] == 2000
+
+    @pytest.mark.parametrize("message", ["9", "-4", "0"])
+    def test_message_with_bits_is_a_usage_error(self, capsys, message):
+        # with --bits the bit string is the message; a --message used to
+        # be ignored silently
+        code, out, err = run_cli(
+            capsys,
+            "mc-validate", "--bits", "0110", "--theta", "0.5", "--nu", "0.5",
+            "--trials", "2000", "--message", message,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--message" in err
 
     def test_thetas_list(self, capsys):
         code, out, _ = run_cli(

@@ -28,7 +28,7 @@ from sealsim.analysis import (
     flat_posterior_mass,
     mutual_information,
 )
-from sealsim.attacks import _sample_index, coin_toss_probabilities, measurement_family
+from sealsim.attacks import _cumulative, _sample_index, coin_toss_probabilities, measurement_family
 from sealsim.linalg import fidelity
 from sealsim.montecarlo import _family_tables
 from sealsim.seals import (
@@ -117,8 +117,9 @@ class TestOracles:
     def test_sampler_gives_the_same_index_per_draw_as_in_bulk(self):
         weights = np.abs(MATRICES["sparse16"].coefficients[3]) ** 2
         draws = np.random.default_rng(11).random(2000)
-        bulk = _sample_index(weights, draws)
-        assert [int(_sample_index(weights, u)) for u in draws] == bulk.tolist()
+        cumulative = _cumulative(weights)
+        bulk = _sample_index(cumulative, draws)
+        assert [int(_sample_index(cumulative, u)) for u in draws] == bulk.tolist()
         assert np.all(weights[bulk] > 0.0)
 
 

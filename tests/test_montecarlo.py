@@ -1,12 +1,17 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import sealsim.montecarlo as mc
 
 from sealsim.analysis import average_fidelity, decode_probabilities
 from sealsim.errors import DEFAULT_MAX_DIM, ResourceError, UsageError, ValidationError
 from sealsim.montecarlo import (
     CHI_SQUARE_LEVEL,
+    CHUNK_ROUNDS,
     DRAWS_PER_ROUND,
     CoinTossStrategy,
     EmpiricalStats,
@@ -15,13 +20,14 @@ from sealsim.montecarlo import (
     FamilyStrategy,
     _chi_square_critical,
     chi_square_check,
+    draw_chunks,
     draw_table,
     replay_experiment,
     round_block,
     run_experiment,
     stats_record,
 )
-from sealsim.seals import OverlapMatrix, ProductSealSpec
+from sealsim.seals import OverlapMatrix, ProductSealSpec, load_overlap_matrix
 
 PI6_SPEC = ProductSealSpec.shared_theta("0", math.pi / 6)
 
@@ -36,6 +42,13 @@ class TestDrawTable:
 
     def test_rows_have_one_counter_block(self):
         assert draw_table(7, 5).shape == (5, DRAWS_PER_ROUND)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 99, 100, 101])
+    def test_chunks_concatenate_to_the_table(self, monkeypatch, chunk):
+        monkeypatch.setattr(mc, "CHUNK_ROUNDS", chunk)
+        blocks = list(draw_chunks(42, 100))
+        assert all(len(block) <= chunk for block in blocks)
+        assert np.array_equal(np.concatenate(blocks), draw_table(42, 100))
 
 
 class TestExperimentConfig:
@@ -155,6 +168,73 @@ class TestRunExperiment:
         for path in (run_experiment, replay_experiment):
             with pytest.raises(UsageError):
                 path(config)
+
+
+CHUNK_TRIALS = 5003
+CHUNK_SEALS = {
+    "random16": ExplicitSealSpec(
+        overlaps=load_overlap_matrix(Path(__file__).parent / "data" / "random16.json"),
+        message=3,
+    ),
+    "bits10": ProductSealSpec.shared_theta("10", math.pi / 12),
+}
+CHUNK_STRATEGIES = [FamilyStrategy(0.37), CoinTossStrategy(0.37)]
+
+
+@pytest.fixture(scope="module")
+def replayed():
+    """replay_experiment at CHUNK_TRIALS, once per (seal, strategy)."""
+    cache = {}
+
+    def get(seal: str, strategy) -> mc.EmpiricalStats:
+        if (seal, strategy) not in cache:
+            config = ExperimentConfig(
+                seal=CHUNK_SEALS[seal], strategy=strategy, trials=CHUNK_TRIALS, seed=29
+            )
+            cache[seal, strategy] = replay_experiment(config)
+        return cache[seal, strategy]
+
+    return get
+
+
+class TestChunkedExperiment:
+    @pytest.mark.parametrize(
+        "chunk", [1, 3, 4096, CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1]
+    )
+    @pytest.mark.parametrize("strategy", CHUNK_STRATEGIES, ids=["family", "coin"])
+    @pytest.mark.parametrize("seal", sorted(CHUNK_SEALS))
+    def test_counts_do_not_depend_on_the_chunk_size(
+        self, monkeypatch, replayed, seal, strategy, chunk
+    ):
+        config = ExperimentConfig(
+            seal=CHUNK_SEALS[seal], strategy=strategy, trials=CHUNK_TRIALS, seed=29
+        )
+        monkeypatch.setattr(mc, "CHUNK_ROUNDS", 10 * CHUNK_TRIALS)
+        whole = run_experiment(config)
+        monkeypatch.setattr(mc, "CHUNK_ROUNDS", chunk)
+        chunked = run_experiment(config)
+        oracle = replayed(seal, strategy)
+        for reference in (whole, oracle):
+            assert np.array_equal(chunked.decode_counts, reference.decode_counts)
+            assert chunked.pass_count == reference.pass_count
+
+    @pytest.mark.parametrize("strategy", CHUNK_STRATEGIES, ids=["family", "coin"])
+    def test_memory_does_not_grow_with_trials(self, strategy):
+        # a whole-table run holds about 50-70 bytes per round, so it would
+        # peak 8x higher at 16 chunks than at 2
+        def peak(trials: int) -> int:
+            config = ExperimentConfig(
+                seal=CHUNK_SEALS["random16"], strategy=strategy, trials=trials, seed=3
+            )
+            tracemalloc.start()
+            try:
+                run_experiment(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2 * CHUNK_ROUNDS), peak(16 * CHUNK_ROUNDS)
+        assert large <= 1.25 * small
 
 
 class TestChiSquare:
