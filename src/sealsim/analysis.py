@@ -96,6 +96,25 @@ def flat_posterior_mass(dm: DecodeMatrix, decoded: int) -> float:
     return (1.0 - dm.nu) / column_sum
 
 
+def flat_posterior_masses(dm: DecodeMatrix) -> np.ndarray:
+    """flat_posterior_mass for every decoded value, with the same additions."""
+    column_sums = _column_sums(dm.probabilities)
+    zero = np.flatnonzero(~(column_sums > 0.0))
+    if zero.size:
+        raise UsageError(
+            f"decoded values {zero.tolist()} have zero marginal probability; "
+            "flat posterior mass is undefined"
+        )
+    return (1.0 - dm.nu) / column_sums
+
+
+def _column_sums(probs: np.ndarray) -> np.ndarray:
+    # Summing the contiguous rows of the transpose adds each column in
+    # the same order as np.sum over that column alone; summing down
+    # axis 0 does not.
+    return np.ascontiguousarray(probs.T).sum(axis=1)
+
+
 def mutual_information(dm: DecodeMatrix) -> float:
     """I(message; decoded) in bits under a uniform message prior.
 
@@ -151,7 +170,7 @@ def expected_flat_mass(dm: DecodeMatrix) -> float:
     # Same order of additions as flat_posterior_mass per column and then
     # a running total (cumsum): a pairwise sum of the terms, or of the
     # columns down axis 0, moves the 17-digit result by an ulp.
-    column_sums = np.ascontiguousarray(probs.T).sum(axis=1)
+    column_sums = _column_sums(probs)
     terms = marginals[live] * ((1.0 - dm.nu) / column_sums[live])
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, check_dim, check_unit_interval
+from .errors import UsageError, check_dim, check_unit_interval, unit_norm_weights
 from .linalg import DenseOperator, StateVector, _renormalize
 from .seals import SealedState
 
@@ -167,25 +167,27 @@ def coin_toss_probabilities(amplitude_row, read_probability: float) -> np.ndarra
     """Analytic decode distribution of the coin-toss strategy.
 
     Summing the two branches: q * |c_i|^2 from the honest measurement
-    plus (1-q)/N from the uniform idle guess.
+    plus (1-q)/N from the uniform idle guess.  A stack of amplitude rows
+    (N along the last axis) gives one distribution per row.
     """
     q = check_unit_interval("read probability", read_probability)
     row = np.asarray(amplitude_row, dtype=complex)
-    weights = np.abs(row) ** 2
-    return q * weights + (1.0 - q) / row.shape[0]
+    return q * unit_norm_weights(row, "amplitude row") + (1.0 - q) / row.shape[-1]
 
 
-def coin_toss_escape_probability(amplitude_row, read_probability: float) -> float:
+def coin_toss_escape_probability(amplitude_row, read_probability: float) -> float | np.ndarray:
     """Analytic verifier pass rate for the coin-toss strategy.
 
     The idle branch returns the state untouched (fidelity 1); the honest
     branch collapses to |i> with probability |c_i|^2 and then passes
-    with fidelity |c_i|^2, giving (1-q) + q * sum |c_i|^4.
+    with fidelity |c_i|^2, giving (1-q) + q * sum |c_i|^4.  A stack of
+    amplitude rows gives an array with one pass rate per row.
     """
     q = check_unit_interval("read probability", read_probability)
     row = np.asarray(amplitude_row, dtype=complex)
-    quartic = float(np.sum(np.abs(row) ** 4))
-    return (1.0 - q) + q * quartic
+    unit_norm_weights(row, "amplitude row")
+    escape = (1.0 - q) + q * np.sum(np.abs(row) ** 4, axis=-1)
+    return float(escape) if escape.ndim == 0 else escape
 
 
 def _cumulative(weights: np.ndarray) -> np.ndarray:

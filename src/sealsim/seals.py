@@ -23,7 +23,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import UsageError, ValidationError, check_dim, unit_norm_weights
-from .linalg import StateVector, fidelity, tensor_product
+from .linalg import StateVector, fidelity
 
 THETA_MAX = math.pi / 4
 
@@ -84,10 +84,6 @@ class ProductSealSpec:
         return cls(bits, (theta,) * len(bits))
 
     @property
-    def num_bits(self) -> int:
-        return len(self.bits)
-
-    @property
     def dim(self) -> int:
         return 2 ** len(self.bits)
 
@@ -142,18 +138,46 @@ def overlap_matrix(spec: ProductSealSpec) -> OverlapMatrix:
     return OverlapMatrix(reduce(np.kron, factors))
 
 
+def product_states(thetas, messages) -> np.ndarray:
+    """Qubit-by-qubit sealed states of a product seal, one row per message.
+
+    Row r is the left-to-right tensor product over bit positions of
+    cos(theta)|b> + sin(theta)|1-b>, where b is that bit of messages[r]
+    (big-endian).  Each qubit is one broadcast multiply and reshape over
+    all rows: the same products in the same order as reduce(np.kron, ...),
+    so every row equals linalg.tensor_product of the per-qubit states bit
+    for bit.
+    """
+    thetas = [float(t) for t in thetas]
+    if not thetas:
+        raise ValidationError("need at least one angle")
+    for t in thetas:
+        _check_angle(t)
+    dim = check_dim(2 ** len(thetas))
+    messages = np.asarray(messages)
+    if messages.ndim != 1 or messages.dtype.kind not in "iu":
+        raise UsageError(f"messages must be a 1-d integer array, got {messages!r}")
+    if np.any((messages < 0) | (messages >= dim)):
+        raise UsageError(f"messages out of range for dim {dim}: {messages.tolist()}")
+    shifts = np.arange(len(thetas) - 1, -1, -1)
+    bits = (messages.astype(np.int64)[:, None] >> shifts) & 1
+    # row b of the bit factor is the qubit sealing bit b: [cos, sin] or [sin, cos]
+    qubits = np.stack(
+        [_bit_factor(t)[bits[:, k]] for k, t in enumerate(thetas)], axis=1
+    )
+    unit_norm_weights(qubits, "qubit states")
+    rows = len(messages)
+    states = qubits[:, 0]
+    for k in range(1, len(thetas)):
+        states = (states[:, :, None] * qubits[:, k, None, :]).reshape(rows, 2 ** (k + 1))
+    unit_norm_weights(states, "product states")
+    return states
+
+
 def product_seal(spec: ProductSealSpec) -> SealedState:
     """Sealed state of a product seal, built qubit by qubit."""
-    check_dim(spec.dim)
-    qubits = []
-    for bit, theta in zip(spec.bits, spec.thetas):
-        amps = np.zeros(2, dtype=complex)
-        amps[int(bit)] = math.cos(theta)
-        amps[1 - int(bit)] = math.sin(theta)
-        qubits.append(StateVector(amps))
-    return SealedState(
-        state=tensor_product(qubits), message=spec.message, source="product"
-    )
+    state = StateVector(product_states(spec.thetas, [spec.message])[0])
+    return SealedState(state=state, message=spec.message, source="product")
 
 
 def verify_seal(

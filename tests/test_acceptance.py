@@ -8,6 +8,7 @@ compares the report bytes.  Each test prints its own PASS/FAIL line
 
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -77,6 +78,25 @@ def test_criterion_09_bit_seal_beta_bound(suite):
 
 def test_criterion_10_cross_construction_identity(suite):
     assert_claim(suite, 10)
+
+
+def test_criterion_10_fails_on_a_perturbed_overlap_entry(monkeypatch):
+    real = claims.overlap_matrix
+
+    def perturbed(spec):
+        om = real(spec)
+        if spec.dim != 16 or spec.thetas[0] != claims.THETA_GRID[1]:
+            return om
+        coefficients = om.coefficients.copy()
+        coefficients[5, 9] += 1e-9
+        # bypass OverlapMatrix's norm check: the comparison itself must fail
+        return SimpleNamespace(coefficients=coefficients, dim=om.dim)
+
+    monkeypatch.setattr(claims, "overlap_matrix", perturbed)
+    result = claims.check_cross_construction()
+    report(result)
+    assert not result.passed
+    assert result.details == ("max amplitude deviation = 1.000000e-09",)
 
 
 def test_criterion_11_claims_reports_are_byte_identical():

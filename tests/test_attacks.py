@@ -11,7 +11,7 @@ from sealsim.attacks import (
     measurement_family,
     run_attack,
 )
-from sealsim.errors import ResourceError, UsageError
+from sealsim.errors import ResourceError, UsageError, ValidationError
 from sealsim.linalg import StateVector, apply_and_normalize, fidelity
 from sealsim.seals import OverlapMatrix, ProductSealSpec, product_seal, seal_from_overlaps
 
@@ -201,6 +201,26 @@ class TestCoinToss:
         assert coin_toss_escape_probability(row, 0.0) == 1.0
         quartic = math.cos(math.pi / 6) ** 4 + math.sin(math.pi / 6) ** 4
         assert coin_toss_escape_probability(row, 1.0) == pytest.approx(quartic, abs=ATOL)
+
+    def test_non_square_stack_divides_by_the_row_length(self):
+        stack = np.eye(3, 4)
+        probs = coin_toss_probabilities(stack, 0.5)
+        assert probs.shape == (3, 4)
+        assert np.allclose(probs[0], [0.625, 0.125, 0.125, 0.125], atol=ATOL, rtol=0)
+        assert np.allclose(probs.sum(axis=1), 1.0, atol=ATOL, rtol=0)
+
+    def test_stack_escape_is_one_value_per_row(self):
+        rows = np.array([[1.0, 0.0], [math.cos(math.pi / 6), math.sin(math.pi / 6)]])
+        escape = coin_toss_escape_probability(rows, 0.5)
+        assert np.array_equal(escape, [coin_toss_escape_probability(r, 0.5) for r in rows])
+
+    @pytest.mark.parametrize(
+        "closed_form", [coin_toss_probabilities, coin_toss_escape_probability]
+    )
+    @pytest.mark.parametrize("row", [[1.0, 1.0], [math.nan, 0.0], [[1.0, 0.0], [0.5, 0.5]]])
+    def test_non_unit_rows_are_rejected(self, closed_form, row):
+        with pytest.raises(ValidationError):
+            closed_form(row, 0.5)
 
     def test_empirical_escape_tracks_analytic(self):
         spec = ProductSealSpec.shared_theta("0", math.pi / 6)

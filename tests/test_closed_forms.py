@@ -2,9 +2,11 @@
 
 The oracles are the loops the library used before it switched to array
 expressions: per-outcome `apply` + `fidelity`, per-column
-`flat_posterior_mass`, per-row `average_fidelity` and the O(N^2)
-structured completeness accumulation.  Where the array form promises
-the same additions in the same order, equality is asserted with `==`.
+`flat_posterior_mass`, per-row `average_fidelity`, the O(N^2)
+structured completeness accumulation and the per-message
+`tensor_product` of per-qubit states.  Where the array form promises
+the same additions (or products) in the same order, equality is
+asserted with `==`.
 
 The property tests are derandomized with a bounded example count, so
 every run checks the same cases.
@@ -26,16 +28,20 @@ from sealsim.analysis import (
     escape_probability,
     expected_flat_mass,
     flat_posterior_mass,
+    flat_posterior_masses,
     mutual_information,
 )
 from sealsim.attacks import _cumulative, _sample_index, coin_toss_probabilities, measurement_family
-from sealsim.linalg import fidelity
+from sealsim.claims import THETA_GRID, seal_suite
+from sealsim.errors import UsageError
+from sealsim.linalg import StateVector, fidelity, tensor_product
 from sealsim.montecarlo import _family_tables
 from sealsim.seals import (
     OverlapMatrix,
     ProductSealSpec,
     load_overlap_matrix,
     overlap_matrix,
+    product_states,
     seal_from_overlaps,
 )
 
@@ -67,6 +73,25 @@ def matrices():
 MATRICES = dict(matrices())
 
 
+def qubit_by_qubit(message: int, thetas) -> np.ndarray:
+    """One sealed state as the tensor product of per-qubit StateVectors."""
+    qubits = []
+    for bit, theta in zip(format(message, f"0{len(thetas)}b"), thetas):
+        amps = np.zeros(2, dtype=complex)
+        amps[int(bit)] = math.cos(theta)
+        amps[1 - int(bit)] = math.sin(theta)
+        qubits.append(StateVector(amps))
+    return tensor_product(qubits).amplitudes
+
+
+def mixed_angles(seed: int, m: int) -> tuple[float, ...]:
+    """Random angles in [0, pi/4] with both endpoints present when m >= 2."""
+    thetas = np.random.default_rng([seed, m]).uniform(0.0, math.pi / 4, m)
+    if m >= 2:
+        thetas[0], thetas[-1] = 0.0, math.pi / 4
+    return tuple(float(t) for t in thetas)
+
+
 class TestOracles:
     @pytest.mark.parametrize("name", MATRICES)
     def test_family_tables_match_per_outcome_apply(self, name):
@@ -93,6 +118,36 @@ class TestOracles:
                 if marginals[i] > 0.0:
                     total += marginals[i] * flat_posterior_mass(dm, i)
             assert expected_flat_mass(dm) == total
+
+    @pytest.mark.parametrize("name", MATRICES)
+    def test_flat_posterior_masses_equal_per_column_loop(self, name):
+        om = MATRICES[name]
+        for nu in NU_GRID:
+            dm = decode_matrix(om, nu)
+            if np.any(dm.probabilities.sum(axis=0) == 0.0):
+                with pytest.raises(UsageError):
+                    flat_posterior_masses(dm)
+                continue
+            loop = [flat_posterior_mass(dm, i) for i in range(dm.dim)]
+            assert flat_posterior_masses(dm).tolist() == loop
+
+    def test_flat_posterior_masses_equal_per_column_loop_on_the_seal_suite(self):
+        for m, theta, om in seal_suite():
+            dm = decode_matrix(om, 0.5)
+            loop = [flat_posterior_mass(dm, i) for i in range(dm.dim)]
+            assert flat_posterior_masses(dm).tolist() == loop
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("angles", ["grid", "mixed"])
+    def test_product_states_equal_tensor_product(self, m, angles):
+        if angles == "grid":
+            angle_sets = [(theta,) * m for theta in THETA_GRID]
+        else:
+            angle_sets = [mixed_angles(seed, m) for seed in range(3)]
+        for thetas in angle_sets:
+            states = product_states(thetas, np.arange(2**m))
+            for message in range(2**m):
+                assert np.array_equal(states[message], qubit_by_qubit(message, thetas))
 
     @pytest.mark.parametrize("name", MATRICES)
     def test_escape_probability_equals_per_row_mean(self, name):
@@ -144,6 +199,14 @@ def unit_matrices(max_n=8):
 
 nus = st.floats(0.0, 1.0)
 fixed = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+angles = st.one_of(st.sampled_from((0.0, math.pi / 4)), st.floats(0.0, math.pi / 4))
+
+
+@st.composite
+def angles_and_messages(draw):
+    thetas = draw(st.lists(angles, min_size=1, max_size=8))
+    messages = draw(st.lists(st.integers(0, 2 ** len(thetas) - 1), min_size=1, max_size=8))
+    return tuple(thetas), messages
 
 
 class TestProperties:
@@ -166,6 +229,14 @@ class TestProperties:
         quartic = float(np.sum(np.abs(row) ** 4))
         escape = average_fidelity(row, nu)
         assert quartic - 1e-12 <= escape <= 1.0
+
+    @fixed
+    @given(angles_and_messages())
+    def test_product_states_equal_tensor_product(self, case):
+        thetas, messages = case
+        states = product_states(thetas, messages)
+        for row, message in zip(states, messages):
+            assert np.array_equal(row, qubit_by_qubit(message, thetas))
 
     @fixed
     @given(unit_rows(), nus)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sealsim.errors import UsageError, ValidationError
+from sealsim.errors import ResourceError, UsageError, ValidationError
 from sealsim.linalg import StateVector
 from sealsim.seals import (
     OverlapMatrix,
@@ -12,6 +12,7 @@ from sealsim.seals import (
     load_overlap_matrix,
     overlap_matrix,
     product_seal,
+    product_states,
     save_overlap_matrix,
     seal_from_overlaps,
     verify_seal,
@@ -152,6 +153,47 @@ class TestProductSeal:
             sealed = product_seal(ProductSealSpec(bits, thetas))
             dev = np.max(np.abs(sealed.state.amplitudes - om.coefficients[message]))
             assert dev <= ATOL
+
+
+class TestProductStates:
+    def test_one_row_per_message_in_the_given_order(self):
+        states = product_states((math.pi / 6, 0.0), [3, 0, 3])
+        assert states.shape == (3, 4)
+        assert np.array_equal(states[0], states[2])
+        sealed = product_seal(ProductSealSpec("00", (math.pi / 6, 0.0)))
+        assert np.array_equal(states[1], sealed.state.amplitudes)
+
+    @pytest.mark.parametrize("theta", [-0.1, math.pi / 3, math.nan])
+    def test_rejects_angle_outside_range(self, theta):
+        with pytest.raises(ValidationError):
+            product_states((0.1, theta), [0])
+
+    def test_product_seal_rejects_angle_outside_range(self):
+        spec = ProductSealSpec.shared_theta("01", 0.1)
+        object.__setattr__(spec, "thetas", (0.1, math.pi / 3))  # bypass the spec's own check
+        with pytest.raises(ValidationError):
+            product_seal(spec)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
+    def test_any_integer_dtype(self, dtype):
+        states = product_states((0.1, 0.2), np.array([2, 1], dtype=dtype))
+        assert np.array_equal(states, product_states((0.1, 0.2), [2, 1]))
+
+    @pytest.mark.parametrize("messages", [[4], [-1], [0.0], [[0]]])
+    def test_rejects_bad_messages(self, messages):
+        with pytest.raises(UsageError):
+            product_states((0.1, 0.2), messages)
+
+    def test_rejects_no_angles(self):
+        with pytest.raises(ValidationError):
+            product_states((), [0])
+
+    def test_dimension_cap(self, monkeypatch):
+        monkeypatch.setenv("SEALSIM_MAX_DIM", "8")
+        with pytest.raises(ResourceError):
+            product_states((0.1,) * 4, [0])
+        with pytest.raises(ResourceError):
+            product_seal(ProductSealSpec.shared_theta("0000", 0.1))
 
 
 class TestSealFromOverlaps:
