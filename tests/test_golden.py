@@ -8,7 +8,8 @@ ulp changes the 17-digit JSON output and fails here.
 
 The input files are two N=16 overlap matrices, one dense with random
 complex entries and one sparse with an all-zero column (message
-probabilities of exactly 0 at nu = 1).  To re-record after an
+probabilities of exactly 0 at nu = 1), and one dense N=64 matrix
+(complex Gaussian rows scaled to unit norm, numpy default_rng(64)).  To re-record after an
 intentional output change, run `python tests/test_golden.py` and review
 the diff of golden.json.
 """
@@ -26,6 +27,7 @@ GOLDEN = DATA / "golden.json"
 
 RANDOM = "{data}/random16.json"
 SPARSE = "{data}/sparse16.json"
+RANDOM64 = "{data}/random64.json"
 MC = ("--trials", "20000")
 # not a multiple of any power-of-two chunk, and more than one chunk of rounds
 MULTI = ("--trials", "100003")
@@ -50,6 +52,9 @@ COMMANDS = (
     ("mc-validate", *BITS, "--nu", "0.5", *MULTI),
     ("mc-validate", *BITS, "--coin-q", "0.5", *MULTI),
     ("claims", "--seed", "42", "--trials", "100003"),
+    ("sweep", "--format", "json", "--lambda-file", RANDOM64),
+    ("mc-validate", "--lambda-file", RANDOM64, "--message", "41", "--nu", "0.5", *MULTI),
+    ("mc-validate", "--lambda-file", RANDOM64, "--message", "41", "--coin-q", "0.5", *MULTI),
 )
 
 
