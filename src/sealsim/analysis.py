@@ -68,7 +68,12 @@ def decode_probabilities(amplitude_row, nu: float) -> np.ndarray:
     """
     check_unit_interval("nu", nu)
     row = np.asarray(amplitude_row, dtype=complex)
-    return (1.0 - nu) / row.shape[-1] + nu * unit_norm_weights(row, "amplitude row")
+    return _decode_rows(unit_norm_weights(row, "amplitude row"), nu)
+
+
+def _decode_rows(weights: np.ndarray, nu: float) -> np.ndarray:
+    """(1-nu)/N + nu w for weights w = |c|^2, N along the last axis."""
+    return (1.0 - nu) / weights.shape[-1] + nu * weights
 
 
 def decode_matrix(overlaps: OverlapMatrix, nu: float) -> DecodeMatrix:
@@ -124,10 +129,17 @@ def mutual_information(dm: DecodeMatrix) -> float:
     probs = dm.probabilities
     marginal = probs.mean(axis=0)
     h_decoded = _entropy_bits(marginal)
-    h_conditional = float(
-        np.mean([_entropy_bits(row) for row in probs])
-    )
-    return max(h_decoded - h_conditional, 0.0)
+    # Rows without zeros take one axis=1 reduction, which sums each row in
+    # the same pairwise order as _entropy_bits; rows with zeros keep the
+    # per-row path, which drops the zeros before summing.
+    zero_free = probs.min(axis=1) > 0.0
+    live = probs if zero_free.all() else probs[zero_free]
+    terms = np.log2(live)
+    terms *= live
+    entropies = np.empty(dm.dim)
+    entropies[zero_free] = -terms.sum(axis=1)
+    entropies[~zero_free] = [_entropy_bits(row) for row in probs[~zero_free]]
+    return max(h_decoded - float(np.mean(entropies)), 0.0)
 
 
 def _entropy_bits(distribution: np.ndarray) -> float:
@@ -145,11 +157,15 @@ def average_fidelity(amplitude_row, nu: float) -> float | np.ndarray:
     the last axis) gives an array with one fidelity per row.
     """
     row = np.asarray(amplitude_row, dtype=complex)
-    weights = unit_norm_weights(row, "amplitude row")
-    coeffs = AttackCoefficients.from_nu(row.shape[-1], nu)
-    fidelities = (coeffs.a + coeffs.b * weights) ** 2
-    average = np.minimum(fidelities.sum(axis=-1), 1.0)
+    average = _average_fidelities(unit_norm_weights(row, "amplitude row"), nu)
     return float(average) if average.ndim == 0 else average
+
+
+def _average_fidelities(weights: np.ndarray, nu: float) -> np.ndarray:
+    """average_fidelity from weights w = |c|^2, N along the last axis."""
+    coeffs = AttackCoefficients.from_nu(weights.shape[-1], nu)
+    fidelities = (coeffs.a + coeffs.b * weights) ** 2
+    return np.minimum(fidelities.sum(axis=-1), 1.0)
 
 
 def escape_probability(overlaps: OverlapMatrix, nu: float) -> float:
@@ -179,7 +195,10 @@ def tradeoff_sweep(overlaps: OverlapMatrix, nu_grid) -> list[TradeoffPoint]:
     """Evaluate the tradeoff at every grid value of nu.
 
     Grid values must lie in [0, 1] and increase strictly.  Points are
-    independent; output order follows the grid.
+    independent; output order follows the grid.  The weights |c|^2 are
+    computed and checked once; each point equals decode_matrix,
+    mutual_information, escape_probability and expected_flat_mass at
+    that nu, bit for bit.
     """
     grid = [check_unit_interval("grid value", float(v)) for v in nu_grid]
     if not grid:
@@ -187,20 +206,22 @@ def tradeoff_sweep(overlaps: OverlapMatrix, nu_grid) -> list[TradeoffPoint]:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise UsageError("nu grid must be strictly increasing")
 
-    points = []
-    for nu in grid:
-        dm = decode_matrix(overlaps, nu)
-        guess = float(np.trace(dm.probabilities)) / dm.dim
-        points.append(
-            TradeoffPoint(
-                nu=nu,
-                mutual_information=mutual_information(dm),
-                guess_probability=guess,
-                escape_probability=escape_probability(overlaps, nu),
-                flat_mass=expected_flat_mass(dm),
-            )
-        )
-    return points
+    weights = unit_norm_weights(overlaps.coefficients, "amplitude row")
+    return [_tradeoff_point(weights, nu) for nu in grid]
+
+
+def _tradeoff_point(weights: np.ndarray, nu: float) -> TradeoffPoint:
+    # One point per call, so no two decode matrices are alive at once
+    # and the escape probability's temporary is freed before either.
+    escape = float(np.mean(_average_fidelities(weights, nu)))
+    dm = DecodeMatrix(_decode_rows(weights, nu), nu)
+    return TradeoffPoint(
+        nu=nu,
+        mutual_information=mutual_information(dm),
+        guess_probability=float(np.trace(dm.probabilities)) / dm.dim,
+        escape_probability=escape,
+        flat_mass=expected_flat_mass(dm),
+    )
 
 
 def bit_seal_point(theta: float, nu: float) -> tuple[float, float]:

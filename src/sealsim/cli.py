@@ -139,17 +139,18 @@ def _decode_matrix_json(dm: DecodeMatrix) -> Iterator[str]:
     yield f'\n  ],\n  "row_sums": {row_sums}\n}}\n'
 
 
+def _decode_matrix_csv(dm: DecodeMatrix) -> Iterator[str]:
+    """The CSV lines of the decode matrix, one matrix row at a time."""
+    yield ",".join(f"p{i}" for i in range(dm.dim)) + ",row_sum\n"
+    for row in dm.probabilities:
+        yield ",".join(map(_sig, row.tolist())) + "," + _sig(row.sum()) + "\n"
+
+
 def _cmd_decode_matrix(args) -> int:
     om = _overlaps_from_args(args)
     dm = decode_matrix(om, args.nu)
-    if args.format == "json":
-        _emit_parts(_decode_matrix_json(dm), args.out)
-        return 0
-    header = ",".join(f"p{i}" for i in range(dm.dim)) + ",row_sum"
-    lines = [header]
-    for row in dm.probabilities:
-        lines.append(",".join(_sig(p) for p in row) + "," + _sig(row.sum()))
-    _emit("\n".join(lines) + "\n", args.out)
+    stream = _decode_matrix_json if args.format == "json" else _decode_matrix_csv
+    _emit_parts(stream(dm), args.out)
     return 0
 
 

@@ -20,6 +20,14 @@ the actual attack and verifier functions, and the test suite asserts
 the two are identical.  (The bulk path's pass probabilities are closed
 forms; they may differ from the replayed fidelities by rounding, so a
 draw within an ulp of a threshold could split the two.)
+
+Sampler contract: an outcome draw u in [0, 1) selects, by inverse CDF,
+`attacks._sample_index(cumulative, u)`: the first outcome whose running
+weight sum exceeds u times the total, or the last outcome if none does.
+The bulk path builds an `attacks._GuideTable` once per run and looks
+each draw up in it, searching only the draws that land in a bin holding
+a step of the CDF; it selects that same outcome for every draw, so the
+counts do not depend on the table.
 """
 
 from __future__ import annotations
@@ -33,8 +41,8 @@ import numpy as np
 
 from .attacks import (
     MeasurementFamily,
+    _GuideTable,
     _cumulative,
-    _sample_index,
     coin_toss_attack,
     measurement_family,
     run_attack,
@@ -224,20 +232,20 @@ def run_experiment(config: ExperimentConfig) -> EmpiricalStats:
     if isinstance(config.strategy, FamilyStrategy):
         family = measurement_family(n, config.strategy.nu)
         probs, pass_probs = _family_tables(sealed, family)
-        cumulative = _cumulative(probs)
+        sample = _GuideTable(_cumulative(probs))
 
         def tally(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            outcomes = _sample_index(cumulative, draws[:, 0])
+            outcomes = sample(draws[:, 0])
             return outcomes, draws[:, 1] < pass_probs[outcomes]
 
     else:
         q = check_unit_interval("read probability", config.strategy.q)
         weights = np.abs(sealed.state.amplitudes) ** 2
-        cumulative = _cumulative(weights)
+        sample = _GuideTable(_cumulative(weights))
 
         def tally(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             acted = draws[:, 0] < q
-            honest = _sample_index(cumulative, draws[:, 1])
+            honest = sample(draws[:, 1])
             guesses = np.minimum((draws[:, 1] * n).astype(np.int64), n - 1)
             # collapsed to |i>: passes with fidelity |c_i|^2; untouched: the
             # verifier sees the original back and passes

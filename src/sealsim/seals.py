@@ -195,31 +195,70 @@ def verify_seal(
     return bool(rng.random() < fidelity(original.state, returned))
 
 
+# Between the brackets and commas of "rows" only JSON numbers (with the
+# NaN and Infinity tokens json accepts) and JSON whitespace may appear.
+_NUMBER_BYTES = b"0123456789+-.eE \t\n\rNaInfity"
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+
+
+def _rows_layout(dim: int) -> bytes:
+    """The brackets and commas of a dim x dim array of [re, im] pairs."""
+    row = b"[" + b",".join([b"[,]"] * dim) + b"]"
+    return b"[" + b",".join([row] * dim) + b"]"
+
+
 def load_overlap_matrix(path) -> OverlapMatrix:
-    """Load an overlap matrix from JSON: {"dim": N, "rows": [[[re, im], ...], ...]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-            dim = int(payload["dim"])
-            arr = np.asarray(payload["rows"], dtype=float)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            # not UTF-8 JSON, no integer 'dim', ragged or non-numeric 'rows'
-            raise ValidationError(f"{path}: malformed overlap file: {exc!r}") from exc
-    if arr.shape != (dim, dim, 2):
-        raise ValidationError(
-            f"{path}: 'rows' must be a {dim}x{dim} array of [re, im] pairs, "
-            f"got shape {arr.shape}"
+    """Load an overlap matrix from JSON: {"dim": N, "rows": [[[re, im], ...], ...]}.
+
+    The file must hold one object with exactly the keys "dim", an integer
+    N >= 1, and "rows", N rows of N [re, im] number pairs; anything else
+    raises ValidationError.  The values are those json.load and np.asarray
+    would give, bit for bit, but they are parsed as one flat JSON list:
+    the object is parsed with "rows" replaced by null, the brackets and
+    commas of "rows" are checked against the N x N x 2 layout, and the
+    bracket-free number list is parsed once.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read()
+    start, end = text.find(b"["), text.rfind(b"]") + 1
+    try:
+        if start < 0:
+            raise ValueError("no 'rows' array")
+        # the first '[' opens "rows" and the last ']' closes it: no other
+        # value of a well-formed file holds a bracket
+        pairs = json.loads(
+            (text[:start] + b"null" + text[end:]).decode("utf-8"), object_pairs_hook=list
         )
+        rows = text[start:end]
+        del text
+        if not isinstance(pairs, list) or sorted(key for key, _ in pairs) != ["dim", "rows"]:
+            raise ValueError("the file must hold one object with exactly the keys 'dim' and 'rows'")
+        fields = dict(pairs)
+        dim = fields["dim"]
+        if fields["rows"] is not None:
+            raise ValueError("'rows' must be an array")
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"'dim' must be an integer >= 1, got {dim!r}")
+        skeleton = rows.translate(None, _NUMBER_BYTES)
+        # testing the length first keeps a huge 'dim' from building a huge layout
+        if len(skeleton) != 4 * dim * dim + 2 * dim + 1 or skeleton != _rows_layout(dim):
+            raise ValueError(f"'rows' must be a {dim}x{dim} array of [re, im] pairs")
+        del skeleton
+        # brackets become spaces, so a number cannot run on across one
+        values = json.loads(b"[" + rows.translate(_BRACKETS_TO_SPACES) + b"]")
+        del rows
+        arr = np.array(values, dtype=float).reshape(dim, dim, 2)
+        del values
+    except (ValueError, OverflowError) as exc:
+        # not UTF-8 JSON, wrong keys or 'dim', ragged or non-numeric 'rows'
+        raise ValidationError(f"{path}: malformed overlap file: {exc!r}") from exc
     return OverlapMatrix(arr[..., 0] + 1j * arr[..., 1])
 
 
 def save_overlap_matrix(matrix: OverlapMatrix, path) -> None:
     """Write an overlap matrix in the JSON schema used by load_overlap_matrix."""
     coeffs = matrix.coefficients
-    rows = [
-        [[float(c.real), float(c.imag)] for c in row]
-        for row in coeffs
-    ]
+    rows = np.stack([coeffs.real, coeffs.imag], axis=-1).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump({"dim": matrix.dim, "rows": rows}, fh)
         fh.write("\n")

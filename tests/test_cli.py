@@ -341,6 +341,11 @@ MALFORMED_LAMBDA_FILES = {
     "ragged-rows": b'{"dim": 2, "rows": [[[1, 0], [0, 0]], [[1, 0]]]}',
     "non-numeric-amplitude": b'{"dim": 2, "rows": [[["one", 0], [0, 0]], [[0, 0], [1, 0]]]}',
     "not-utf8": b'{"dim": 2, "rows": "\xff\xfe"}',
+    "float-dim": b'{"dim": 2.9, "rows": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+    "string-dim": b'{"dim": "2", "rows": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+    "bool-dim": b'{"dim": true, "rows": [[[1, 0]]]}',
+    "duplicate-key": b'{"dim": 3, "dim": 2, "rows": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+    "extra-key": b'{"dim": 2, "rows": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "note": 1}',
     "directory": None,
 }
 
@@ -348,7 +353,9 @@ MALFORMED_LAMBDA_FILES = {
 class TestMalformedLambdaFile:
     @pytest.mark.parametrize("kind", MALFORMED_LAMBDA_FILES)
     @pytest.mark.parametrize(
-        "command", (("sweep",), ("mc-validate", "--nu", "0.5", "--trials", "100")), ids=" ".join
+        "command",
+        (("sweep",), ("decode-matrix", "--nu", "0.5"), ("mc-validate", "--nu", "0.5", "--trials", "100")),
+        ids=" ".join,
     )
     def test_is_a_usage_error(self, capsys, tmp_path, kind, command):
         content = MALFORMED_LAMBDA_FILES[kind]

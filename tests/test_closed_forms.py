@@ -3,8 +3,11 @@
 The oracles are the loops the library used before it switched to array
 expressions: per-outcome `apply` + `fidelity`, per-column
 `flat_posterior_mass`, per-row `average_fidelity`, the O(N^2)
-structured completeness accumulation and the per-message
-`tensor_product` of per-qubit states.  Where the array form promises
+structured completeness accumulation, the per-message
+`tensor_product` of per-qubit states, the per-row entropies of
+`mutual_information`, the per-point public functions behind
+`tradeoff_sweep` and the plain inverse-CDF search behind the guide
+table.  Where the array form promises
 the same additions (or products) in the same order, equality is
 asserted with `==`.
 
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sealsim.analysis import (
+    TradeoffPoint,
     average_fidelity,
     decode_matrix,
     decode_probabilities,
@@ -30,8 +34,15 @@ from sealsim.analysis import (
     flat_posterior_mass,
     flat_posterior_masses,
     mutual_information,
+    tradeoff_sweep,
 )
-from sealsim.attacks import _cumulative, _sample_index, coin_toss_probabilities, measurement_family
+from sealsim.attacks import (
+    _cumulative,
+    _GuideTable,
+    _sample_index,
+    coin_toss_probabilities,
+    measurement_family,
+)
 from sealsim.claims import THETA_GRID, seal_suite
 from sealsim.errors import UsageError
 from sealsim.linalg import StateVector, fidelity, tensor_product
@@ -63,6 +74,7 @@ def random_overlaps(seed: int, n: int, sparsity: float = 0.0) -> OverlapMatrix:
 def matrices():
     yield "random16", load_overlap_matrix(DATA / "random16.json")
     yield "sparse16", load_overlap_matrix(DATA / "sparse16.json")
+    yield "golden-random64", load_overlap_matrix(DATA / "random64.json")
     for n in (2, 3, 5, 8, 33, 64):
         yield f"random{n}", random_overlaps(7, n)
         yield f"sparse{n}", random_overlaps(8, n, sparsity=0.6)
@@ -82,6 +94,30 @@ def qubit_by_qubit(message: int, thetas) -> np.ndarray:
         amps[1 - int(bit)] = math.sin(theta)
         qubits.append(StateVector(amps))
     return tensor_product(qubits).amplitudes
+
+
+def entropy_bits(distribution: np.ndarray) -> float:
+    positive = distribution[distribution > 0.0]
+    return float(-np.sum(positive * np.log2(positive)))
+
+
+def mutual_information_per_row(dm) -> float:
+    """mutual_information with one entropy call per row of the decode matrix."""
+    h_decoded = entropy_bits(dm.probabilities.mean(axis=0))
+    h_conditional = float(np.mean([entropy_bits(row) for row in dm.probabilities]))
+    return max(h_decoded - h_conditional, 0.0)
+
+
+def tradeoff_point(om: OverlapMatrix, nu: float) -> TradeoffPoint:
+    """One sweep point from the public per-point functions."""
+    dm = decode_matrix(om, nu)
+    return TradeoffPoint(
+        nu=nu,
+        mutual_information=mutual_information(dm),
+        guess_probability=float(np.trace(dm.probabilities)) / dm.dim,
+        escape_probability=escape_probability(om, nu),
+        flat_mass=expected_flat_mass(dm),
+    )
 
 
 def mixed_angles(seed: int, m: int) -> tuple[float, ...]:
@@ -169,6 +205,29 @@ class TestOracles:
         accumulated = float(np.max(np.abs(diagonal - 1.0)))
         assert abs(family.completeness_deviation() - accumulated) <= 1e-13
 
+    @pytest.mark.parametrize("name", MATRICES)
+    def test_mutual_information_equals_per_row_entropies(self, name):
+        om = MATRICES[name]
+        for nu in (0.0, 0.37, 0.5, 1.0):
+            dm = decode_matrix(om, nu)
+            assert mutual_information(dm) == mutual_information_per_row(dm)
+
+    def test_mutual_information_equals_per_row_entropies_on_the_seal_suite(self):
+        for m, theta, om in seal_suite():
+            for nu in (0.0, 0.37, 0.5, 1.0):
+                dm = decode_matrix(om, nu)
+                assert mutual_information(dm) == mutual_information_per_row(dm)
+
+    @pytest.mark.parametrize("name", MATRICES)
+    def test_sweep_equals_the_per_point_functions(self, name):
+        om = MATRICES[name]
+        assert tradeoff_sweep(om, NU_GRID) == [tradeoff_point(om, nu) for nu in NU_GRID]
+
+    def test_sweep_equals_the_per_point_functions_on_the_seal_suite(self):
+        grid = (0.0, 0.37, 0.5, 1.0)
+        for m, theta, om in seal_suite():
+            assert tradeoff_sweep(om, grid) == [tradeoff_point(om, nu) for nu in grid]
+
     def test_sampler_gives_the_same_index_per_draw_as_in_bulk(self):
         weights = np.abs(MATRICES["sparse16"].coefficients[3]) ** 2
         draws = np.random.default_rng(11).random(2000)
@@ -242,3 +301,40 @@ class TestProperties:
     @given(unit_rows(), nus)
     def test_coin_toss_and_family_decode_rows_are_equal(self, row, q):
         assert np.array_equal(coin_toss_probabilities(row, q), decode_probabilities(row, q))
+
+
+@st.composite
+def outcome_weights(draw):
+    """Weights summing to 1 for N = 1..4096 outcomes, some zero or subnormal."""
+    n = draw(st.one_of(st.sampled_from((1, 2, 3, 4096)), st.integers(1, 4096)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.exponential(size=n)
+    weights[rng.random(n) < draw(st.sampled_from((0.0, 0.5, 0.95)))] = 0.0
+    if draw(st.booleans()):
+        subnormal = rng.random(n) < 0.3
+        weights[subnormal] = rng.integers(1, 2**20, subnormal.sum()) * 5e-324
+    weights[rng.integers(n)] = 1.0  # at least one normal weight
+    return weights / weights.sum()
+
+
+class TestGuideTable:
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(outcome_weights(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    def test_gives_the_index_of_the_plain_search_per_draw(self, weights, extra):
+        cumulative = _cumulative(weights)
+        table = _GuideTable(cumulative)
+        assert table.bins >= 16 * len(weights) and table.bins & (table.bins - 1) == 0
+        k = np.arange(table.bins)
+        steps = cumulative / cumulative[-1]
+        uniforms = np.concatenate([
+            k / table.bins,  # the lowest draw of every bin
+            np.nextafter((k + 1) / table.bins, 0.0),  # the highest draw of every bin
+            np.nextafter(k / table.bins, 1.0),
+            steps,  # the draws next to each step of the CDF
+            np.nextafter(steps, 0.0),
+            np.nextafter(steps, 1.0),
+            np.random.default_rng(len(weights)).random(4096),
+            extra,
+        ])
+        uniforms = uniforms[uniforms < 1.0]
+        assert np.array_equal(table(uniforms), _sample_index(cumulative, uniforms))

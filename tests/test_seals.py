@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from sealsim.seals import (
 )
 
 ATOL = 1e-12
+DATA = Path(__file__).parent / "data"
+GOLDEN_FILES = ("random16.json", "sparse16.json", "random64.json")
+IDENTITY2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 THETA_GRID = (0.0, math.pi / 12, math.pi / 6, math.pi / 4)
 
 
@@ -279,5 +283,74 @@ class TestOverlapMatrixFiles:
         path = tmp_path / "bad.json"
         rows = [[[1.0, 0.0]], [[1.0, 0.0]]]
         path.write_text(json.dumps({"dim": 2, "rows": rows}))
+        with pytest.raises(ValidationError):
+            load_overlap_matrix(path)
+
+    @pytest.mark.parametrize("name", GOLDEN_FILES)
+    def test_save_writes_the_file_it_loaded(self, tmp_path, name):
+        path = tmp_path / name
+        save_overlap_matrix(load_overlap_matrix(DATA / name), path)
+        assert path.read_bytes() == (DATA / name).read_bytes()
+
+    @pytest.mark.parametrize("name", (*GOLDEN_FILES, "product"))
+    def test_roundtrip_is_exact(self, tmp_path, name):
+        if name == "product":
+            om = overlap_matrix(ProductSealSpec("01101", (0.0, 0.1, 0.3, 0.5, math.pi / 4)))
+        else:
+            om = load_overlap_matrix(DATA / name)
+        path = tmp_path / "seal.json"
+        save_overlap_matrix(om, path)
+        assert np.array_equal(load_overlap_matrix(path).coefficients, om.coefficients)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({"rows": IDENTITY2, "dim": 2}),
+            json.dumps({"dim": 2, "rows": IDENTITY2}, indent=2),
+            json.dumps({"dim": 2, "rows": [[[0.6, -0.8], [0, 0]], [[0, 0], [-1, -0.0]]]}),
+            '{"dim":1,"rows":[[[1E0,-0]]]}',
+            (DATA / "random64.json").read_text(encoding="utf-8"),
+        ],
+        ids=["reversed-keys", "indent-2", "integer-amplitudes", "compact", "random64"],
+    )
+    def test_loads_the_values_json_load_gives(self, tmp_path, text):
+        path = tmp_path / "seal.json"
+        path.write_text(text, encoding="utf-8")
+        arr = np.asarray(json.loads(text)["rows"], dtype=float)
+        expected = arr[..., 0] + 1j * arr[..., 1]
+        assert load_overlap_matrix(path).coefficients.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dim": 2.9, "rows": %s}' % json.dumps(IDENTITY2),
+            '{"dim": 2.0, "rows": %s}' % json.dumps(IDENTITY2),
+            '{"dim": "2", "rows": %s}' % json.dumps(IDENTITY2),
+            '{"dim": true, "rows": [[[1, 0]]]}',
+            '{"dim": 0, "rows": []}',
+            '{"dim": 3, "dim": 2, "rows": %s}' % json.dumps(IDENTITY2),
+            '{"dim": 2, "rows": %s, "rows": %s}' % (json.dumps(IDENTITY2), json.dumps(IDENTITY2)),
+            '{"dim": 2, "rows": %s, "note": 1}' % json.dumps(IDENTITY2),
+            '{"dim": 2, "rows": %s, "note": "]"}' % json.dumps(IDENTITY2),
+            '{"dim": 2, "rows": null}',
+            json.dumps(IDENTITY2),
+            '{"dim": 2, "rows": [[["1", 0], [0, 0]], [[0, 0], [1, 0]]]}',
+            '{"dim": 2, "rows": [[[true, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+            '{"dim": 1, "rows": [[[1, 0]5]]}',
+            '{"dim": 1, "rows": [[[1, ]]]}',
+            '{"dim": 1, "rows": [[[1, 0], ]]}',
+            '{"dim": 2, "rows": [[[1, 0], [0, 0]], [[0, 0, 1]]]}',
+            '{"dim": 100000000000, "rows": [[[1, 0]]]}',
+        ],
+        ids=[
+            "float-dim", "integral-float-dim", "string-dim", "bool-dim", "zero-dim",
+            "duplicate-dim", "duplicate-rows", "extra-key", "extra-key-with-bracket",
+            "null-rows", "bare-array", "string-amplitude", "bool-amplitude",
+            "number-after-bracket", "empty-amplitude", "trailing-comma", "ragged", "huge-dim",
+        ],
+    )
+    def test_rejects_anything_but_the_schema(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ValidationError):
             load_overlap_matrix(path)
