@@ -3,13 +3,12 @@
 The oracles are the loops the library used before it switched to array
 expressions: per-outcome `apply` + `fidelity`, per-column
 `flat_posterior_mass`, per-row `average_fidelity`, the O(N^2)
-structured completeness accumulation, the per-message
-`tensor_product` of per-qubit states, the per-row entropies of
-`mutual_information`, the per-point public functions behind
-`tradeoff_sweep` and the plain inverse-CDF search behind the guide
-table.  Where the array form promises
-the same additions (or products) in the same order, equality is
-asserted with `==`.
+structured completeness accumulation, the per-message `tensor_product`
+of per-qubit states, the per-row entropies of `mutual_information`, the
+per-point public functions behind `tradeoff_sweep` and the plain
+inverse-CDF search behind the guide table.  Where the array form
+promises the same additions (or products) in the same order, equality
+is asserted with `==`.
 
 The property tests are derandomized with a bounded example count, so
 every run checks the same cases.
