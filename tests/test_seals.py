@@ -333,6 +333,7 @@ class TestOverlapMatrixFiles:
             '{"dim": 2, "rows": %s, "note": 1}' % json.dumps(IDENTITY2),
             '{"dim": 2, "rows": %s, "note": "]"}' % json.dumps(IDENTITY2),
             '{"dim": 2, "rows": null}',
+            '{"dim": 1, "rows": "[[[1, 0]]]"}',
             json.dumps(IDENTITY2),
             '{"dim": 2, "rows": [[["1", 0], [0, 0]], [[0, 0], [1, 0]]]}',
             '{"dim": 2, "rows": [[[true, 0], [0, 0]], [[0, 0], [1, 0]]]}',
@@ -345,7 +346,7 @@ class TestOverlapMatrixFiles:
         ids=[
             "float-dim", "integral-float-dim", "string-dim", "bool-dim", "zero-dim",
             "duplicate-dim", "duplicate-rows", "extra-key", "extra-key-with-bracket",
-            "null-rows", "bare-array", "string-amplitude", "bool-amplitude",
+            "null-rows", "string-rows", "bare-array", "string-amplitude", "bool-amplitude",
             "number-after-bracket", "empty-amplitude", "trailing-comma", "ragged", "huge-dim",
         ],
     )
