@@ -8,30 +8,20 @@ from .analysis import (
     decode_matrix,
     decode_probabilities,
     escape_probability,
-    flat_posterior_mass,
     flat_posterior_masses,
     mutual_information,
     tradeoff_sweep,
 )
 from .attacks import (
     AttackCoefficients,
-    AttackOutcome,
     MeasurementFamily,
-    coin_toss_attack,
     coin_toss_escape_probability,
     coin_toss_probabilities,
     measurement_family,
-    run_attack,
 )
 from .claims import ClaimResult, format_report, run_claims
 from .errors import ResourceError, UsageError, ValidationError
-from .linalg import (
-    DenseOperator,
-    StateVector,
-    apply_and_normalize,
-    fidelity,
-    tensor_product,
-)
+from .linalg import DenseOperator, StateVector
 from .montecarlo import (
     CoinTossStrategy,
     EmpiricalStats,
@@ -52,14 +42,12 @@ from .seals import (
     product_states,
     save_overlap_matrix,
     seal_from_overlaps,
-    verify_seal,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttackCoefficients",
-    "AttackOutcome",
     "ClaimResult",
     "CoinTossStrategy",
     "DecodeMatrix",
@@ -77,18 +65,14 @@ __all__ = [
     "TradeoffPoint",
     "UsageError",
     "ValidationError",
-    "apply_and_normalize",
     "average_fidelity",
     "bit_seal_point",
     "chi_square_check",
-    "coin_toss_attack",
     "coin_toss_escape_probability",
     "coin_toss_probabilities",
     "decode_matrix",
     "decode_probabilities",
     "escape_probability",
-    "fidelity",
-    "flat_posterior_mass",
     "flat_posterior_masses",
     "format_report",
     "load_overlap_matrix",
@@ -97,13 +81,10 @@ __all__ = [
     "overlap_matrix",
     "product_seal",
     "product_states",
-    "run_attack",
     "run_claims",
     "run_experiment",
     "save_overlap_matrix",
     "seal_from_overlaps",
     "stats_record",
-    "tensor_product",
     "tradeoff_sweep",
-    "verify_seal",
 ]

@@ -81,28 +81,17 @@ def decode_matrix(overlaps: OverlapMatrix, nu: float) -> DecodeMatrix:
     return DecodeMatrix(decode_probabilities(overlaps.coefficients, nu), nu)
 
 
-def flat_posterior_mass(dm: DecodeMatrix, decoded: int) -> float:
+def flat_posterior_masses(dm: DecodeMatrix) -> np.ndarray:
     """Share of the posterior over messages explained by the flat component.
 
-    Assumes a uniform message prior.  Given the decoded value, the
-    posterior weight attributable to the (1-nu)/N term of every row is
-    (1-nu) / sum_i' p(i', decoded); for doubly unit-norm overlap
-    matrices at nu = 1/2 this is exactly 1/2, i.e. half the time the
-    decoded value says nothing about the message.
+    One value per decoded outcome, under a uniform message prior.  Given
+    the decoded value, the posterior weight attributable to the
+    (1-nu)/N term of every row is (1-nu) / sum_i' p(i', decoded); for
+    doubly unit-norm overlap matrices at nu = 1/2 this is exactly 1/2,
+    i.e. half the time the decoded value says nothing about the message.
+    Each column is summed in the order of the per-column
+    flat_posterior_mass in tests/oracles.py, so the values are equal.
     """
-    if not 0 <= decoded < dm.dim:
-        raise UsageError(f"decoded value {decoded} out of range for dim {dm.dim}")
-    column_sum = float(np.sum(dm.probabilities[:, decoded]))
-    if column_sum <= 0.0:
-        raise UsageError(
-            f"decoded value {decoded} has zero marginal probability; "
-            "flat posterior mass is undefined"
-        )
-    return (1.0 - dm.nu) / column_sum
-
-
-def flat_posterior_masses(dm: DecodeMatrix) -> np.ndarray:
-    """flat_posterior_mass for every decoded value, with the same additions."""
     column_sums = _column_sums(dm.probabilities)
     zero = np.flatnonzero(~(column_sums > 0.0))
     if zero.size:
@@ -183,9 +172,9 @@ def expected_flat_mass(dm: DecodeMatrix) -> float:
     probs = dm.probabilities
     marginals = probs.mean(axis=0)
     live = marginals > 0.0
-    # Same order of additions as flat_posterior_mass per column and then
-    # a running total (cumsum): a pairwise sum of the terms, or of the
-    # columns down axis 0, moves the 17-digit result by an ulp.
+    # Same order of additions as flat_posterior_masses per column and
+    # then a running total (cumsum): a pairwise sum of the terms, or of
+    # the columns down axis 0, moves the 17-digit result by an ulp.
     column_sums = _column_sums(probs)
     terms = marginals[live] * ((1.0 - dm.nu) / column_sums[live])
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError, check_dim, check_unit_interval, unit_norm_weights
-from .linalg import DenseOperator, StateVector, _renormalize
-from .seals import SealedState
+from .linalg import DenseOperator, StateVector
 
 
 @dataclass(frozen=True)
@@ -72,16 +71,6 @@ class MeasurementFamily:
         entries[index, index] += self.coeffs.b
         return DenseOperator(entries)
 
-    def apply(self, index: int, state: StateVector) -> tuple[float, StateVector | None]:
-        """Structured application of operator `index`; returns (prob, post)."""
-        if state.dim != self.dim:
-            raise UsageError(f"dimension mismatch: family {self.dim}, state {state.dim}")
-        if not 0 <= index < self.dim:
-            raise UsageError(f"operator index {index} out of range")
-        raw = self.coeffs.a * state.amplitudes
-        raw[index] += self.coeffs.b * state.amplitudes[index]
-        return _renormalize(raw)
-
     def outcome_probabilities(self, state: StateVector) -> np.ndarray:
         """||Q_i state||^2 for every i, from the structured form."""
         if state.dim != self.dim:
@@ -113,54 +102,6 @@ def measurement_family(n: int, nu: float) -> MeasurementFamily:
     """Build the complete N-operator family at read strength nu."""
     check_dim(n)
     return MeasurementFamily(AttackCoefficients.from_nu(n, nu))
-
-
-@dataclass(frozen=True, eq=False)
-class AttackOutcome:
-    """Result of one attack round."""
-
-    decoded: int | None
-    post_state: StateVector
-    acted: bool
-
-
-def run_attack(
-    sealed: SealedState, family: MeasurementFamily, rng: np.random.Generator
-) -> AttackOutcome:
-    """One round of the measurement-family attack (Lueders update)."""
-    if sealed.state.dim != family.dim:
-        raise UsageError(
-            f"dimension mismatch: sealed {sealed.state.dim}, family {family.dim}"
-        )
-    probs = family.outcome_probabilities(sealed.state)
-    outcome = int(_sample_index(_cumulative(probs), rng.random()))
-    _, post = family.apply(outcome, sealed.state)
-    assert post is not None  # sampled outcomes have positive probability
-    return AttackOutcome(decoded=outcome, post_state=post, acted=True)
-
-
-def coin_toss_attack(
-    sealed: SealedState, read_probability: float, rng: np.random.Generator
-) -> AttackOutcome:
-    """One round of the coin-toss analog.
-
-    With probability q, measure honestly in the computational basis and
-    report the outcome; otherwise do nothing and report a uniform guess.
-    Per round, the generator is consumed in a fixed order: coin, then
-    either the honest-outcome draw or the guess draw.
-    """
-    q = check_unit_interval("read probability", read_probability)
-    n = sealed.state.dim
-    if rng.random() < q:
-        weights = np.abs(sealed.state.amplitudes) ** 2
-        outcome = int(_sample_index(_cumulative(weights), rng.random()))
-        return AttackOutcome(
-            decoded=outcome,
-            post_state=StateVector.basis(n, outcome),
-            acted=True,
-        )
-    guess = min(int(rng.random() * n), n - 1)
-    return AttackOutcome(decoded=guess, post_state=sealed.state, acted=False)
 
 
 def coin_toss_probabilities(amplitude_row, read_probability: float) -> np.ndarray:

@@ -117,8 +117,9 @@ def _decode_closed_form_gap(seed: int) -> float:
         for nu in NU_GRID_FINE:
             family = measurement_family(n, nu)
             ops = np.stack([family.operator(i).entries for i in range(n)])
-            # raw[i, r] = Q_i rows[r]; summing over the contiguous last
-            # axis matches apply_and_normalize's ||Q psi||^2 bit for bit
+            # raw[i, r] = Q_i rows[r]; summing over the contiguous last axis
+            # matches ||Q psi||^2 of tests/oracles.py's apply_and_normalize
+            # bit for bit
             raw = rows @ ops.transpose(0, 2, 1)
             dense = np.sum(np.abs(raw) ** 2, axis=-1).T
             closed = decode_probabilities(rows, nu)

@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .attacks import coin_toss_escape_probability, coin_toss_probabilities
 from .claims import format_report, run_claims
-from .errors import ResourceError, UsageError, ValidationError, check_dim
+from .errors import ResourceError, UsageError, ValidationError
 from .montecarlo import (
     CoinTossStrategy,
     ExperimentConfig,
@@ -79,9 +79,7 @@ def _seal_from_args(args) -> ProductSealSpec | OverlapMatrix:
         raise UsageError("pass exactly one seal source: --bits or --lambda-file")
     if args.bits is not None:
         return _product_spec_from_args(args)
-    om = load_overlap_matrix(args.lambda_file)
-    check_dim(om.dim)
-    return om
+    return load_overlap_matrix(args.lambda_file)
 
 
 def _overlaps_from_args(args) -> OverlapMatrix:

@@ -1,9 +1,10 @@
-"""Dense complex state-vector and operator arithmetic at seal dimension N.
+"""The two dense value types at seal dimension N: states and operators.
 
-All values are immutable; every function is pure and safe to call from
-concurrent workers.  Amplitudes are complex throughout even though the
-seals studied here have real coefficients: probabilities only ever use
-the squared modulus, so generality is free.
+`StateVector` is a unit-norm complex amplitude vector and
+`DenseOperator` a square complex matrix.  Both are immutable: their
+arrays are checked at construction and read-only.  Amplitudes are complex
+throughout even though the seals studied here have real coefficients:
+probabilities only ever use the squared modulus, so generality is free.
 
 Basis convention: message bit strings map to integers big-endian, i.e.
 the first bit of the string is the most significant bit of the index.
@@ -12,12 +13,10 @@ the first bit of the string is the most significant bit of the index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from typing import Sequence
 
 import numpy as np
 
-from .errors import UsageError, ValidationError, unit_norm_weights
+from .errors import ValidationError, unit_norm_weights
 
 
 def _frozen_complex(values, ndim: int) -> np.ndarray:
@@ -45,15 +44,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
-    @classmethod
-    def basis(cls, dim: int, index: int) -> "StateVector":
-        """Computational basis state |index> in dimension dim."""
-        if not 0 <= index < dim:
-            raise UsageError(f"basis index {index} out of range for dim {dim}")
-        amps = np.zeros(dim, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps)
-
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
@@ -70,44 +60,3 @@ class DenseOperator:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @classmethod
-    def identity(cls, dim: int) -> "DenseOperator":
-        return cls(np.eye(dim, dtype=complex))
-
-
-def tensor_product(factors: Sequence[StateVector]) -> StateVector:
-    """Tensor product of states, first factor most significant."""
-    if not factors:
-        raise UsageError("tensor_product requires at least one factor")
-    amps = reduce(np.kron, (f.amplitudes for f in factors))
-    return StateVector(amps)
-
-
-def apply_and_normalize(
-    op: DenseOperator, state: StateVector
-) -> tuple[float, StateVector | None]:
-    """Apply a measurement operator and renormalize.
-
-    Returns (outcome probability ||op.state||^2, post-measurement state).
-    A zero-norm result has probability 0 and no post state.
-    """
-    if op.dim != state.dim:
-        raise UsageError(f"dimension mismatch: operator {op.dim}, state {state.dim}")
-    return _renormalize(op.entries @ state.amplitudes)
-
-
-def _renormalize(raw: np.ndarray) -> tuple[float, StateVector | None]:
-    """(||raw||^2, raw / ||raw||), or (0, None) for a zero vector."""
-    prob = float(np.sum(np.abs(raw) ** 2))
-    if prob <= 0.0:
-        return 0.0, None
-    return prob, StateVector(raw / np.sqrt(prob))
-
-
-def fidelity(s1: StateVector, s2: StateVector) -> float:
-    """|<s1|s2>|^2 — symmetric, phase-invariant, 1 iff equal up to phase."""
-    if s1.dim != s2.dim:
-        raise UsageError(f"dimension mismatch: {s1.dim} vs {s2.dim}")
-    overlap = np.vdot(s1.amplitudes, s2.amplitudes)
-    return float(min(abs(overlap) ** 2, 1.0))

@@ -1,4 +1,4 @@
-"""Seeded replay of seal -> attack -> verify rounds.
+"""Seeded Monte Carlo of seal -> attack -> verify rounds.
 
 Determinism contract: an experiment draws from one philox4x64
 counter-based stream keyed by (base seed, 0), and round r owns exactly
@@ -10,21 +10,25 @@ name is recorded in the emitted stats so runs are auditable.
 
 Within its block a round consumes draws in a fixed order: measurement
 family — outcome, verify; coin toss — coin, outcome-or-guess, verify.
-Unused slots are discarded.  The bulk path walks the draw table chunk
-by chunk: one generator yields consecutive blocks of at most
+Unused slots are discarded.  `run_experiment` walks the draw table
+chunk by chunk: one generator yields consecutive blocks of at most
 CHUNK_ROUNDS rounds, each chunk is vectorized and its histogram and
 pass count are added to the totals, so memory is O(CHUNK_ROUNDS) for
 any trial count and the counts do not depend on the chunk size.
-`replay_experiment` walks the whole table one round at a time through
-the actual attack and verifier functions, and the test suite asserts
-the two are identical.  (The bulk path's pass probabilities are closed
-forms; they may differ from the replayed fidelities by rounding, so a
-draw within an ulp of a threshold could split the two.)
+
+The reference this contract is checked against lives in the test
+suite, not here: `tests/oracles.py::replay_experiment` walks the whole
+table one round at a time through a per-round attack and verifier, and
+`tests/oracles.py::round_block` reaches round r's block by jumping the
+counter; the tests assert that both agree with `run_experiment` and
+`draw_chunks`.  (The bulk path's pass probabilities are closed forms;
+they may differ from the replayed fidelities by rounding, so a draw
+within an ulp of a threshold could split the two.)
 
 Sampler contract: an outcome draw u in [0, 1) selects, by inverse CDF,
 `attacks._sample_index(cumulative, u)`: the first outcome whose running
 weight sum exceeds u times the total, or the last outcome if none does.
-The bulk path builds an `attacks._GuideTable` once per run and looks
+`run_experiment` builds an `attacks._GuideTable` once per run and looks
 each draw up in it, searching only the draws that land in a bin holding
 a step of the CDF; it selects that same outcome for every draw, so the
 counts do not depend on the table.
@@ -39,14 +43,7 @@ from typing import Union
 
 import numpy as np
 
-from .attacks import (
-    MeasurementFamily,
-    _GuideTable,
-    _cumulative,
-    coin_toss_attack,
-    measurement_family,
-    run_attack,
-)
+from .attacks import MeasurementFamily, _GuideTable, _cumulative, measurement_family
 from .errors import UsageError, ValidationError, check_dim, check_unit_interval
 from .seals import (
     OverlapMatrix,
@@ -54,7 +51,6 @@ from .seals import (
     SealedState,
     product_seal,
     seal_from_overlaps,
-    verify_seal,
 )
 
 GENERATOR_NAME = "philox4x64"
@@ -166,39 +162,16 @@ def _philox(seed: int) -> np.random.Philox:
     return np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
 
 
-def draw_table(seed: int, trials: int) -> np.ndarray:
-    """Uniform draws for all rounds: row r is round r's counter block."""
-    flat = np.random.Generator(_philox(seed)).random(trials * DRAWS_PER_ROUND)
-    return flat.reshape(trials, DRAWS_PER_ROUND)
-
-
-def round_block(seed: int, round_index: int) -> np.ndarray:
-    """Round r's draws obtained by jumping the counter, not replaying."""
-    bg = _philox(seed)
-    bg.advance(round_index)
-    return np.random.Generator(bg).random(DRAWS_PER_ROUND)
-
-
 def draw_chunks(seed: int, trials: int) -> Iterator[np.ndarray]:
     """The draw table's rows in consecutive blocks of at most CHUNK_ROUNDS.
 
     One generator serves every block, so round r keeps stream positions
-    [4r, 4r+4) and the concatenated blocks equal draw_table(seed, trials).
+    [4r, 4r+4) and the concatenated blocks equal the whole draw table.
     """
     gen = np.random.Generator(_philox(seed))
     for start in range(0, trials, CHUNK_ROUNDS):
         rounds = min(CHUNK_ROUNDS, trials - start)
         yield gen.random(rounds * DRAWS_PER_ROUND).reshape(rounds, DRAWS_PER_ROUND)
-
-
-class _ScriptedRng:
-    """Replays a fixed block of uniforms through the Generator.random API."""
-
-    def __init__(self, values) -> None:
-        self._values = iter(values)
-
-    def random(self) -> float:
-        return float(next(self._values))
 
 
 def _family_tables(
@@ -222,9 +195,9 @@ def _family_tables(
 def run_experiment(config: ExperimentConfig) -> EmpiricalStats:
     """Replay trials of seal -> attack -> verify; deterministic per config.
 
-    Bit-identical to replay_experiment, which drives the per-round attack
-    and verifier functions over the same draw table.  The tables are built
-    once; the rounds are tallied in draw_chunks blocks.
+    Bit-identical to tests/oracles.py::replay_experiment, which drives a
+    per-round attack and verifier over the same draw table.  The tables
+    are built once; the rounds are tallied in draw_chunks blocks.
     """
     sealed = config.sealed_state()
     n = sealed.state.dim
@@ -259,30 +232,6 @@ def run_experiment(config: ExperimentConfig) -> EmpiricalStats:
         counts += np.bincount(outcomes, minlength=n)
         pass_count += int(np.count_nonzero(passes))
     return EmpiricalStats(decode_counts=counts, pass_count=pass_count, trials=config.trials)
-
-
-def replay_experiment(config: ExperimentConfig) -> EmpiricalStats:
-    """Round-by-round reference path through the real attack and verifier."""
-    sealed = config.sealed_state()
-    n = sealed.state.dim
-    draws = draw_table(config.seed, config.trials)
-
-    family: MeasurementFamily | None = None
-    if isinstance(config.strategy, FamilyStrategy):
-        family = measurement_family(n, config.strategy.nu)
-
-    counts = np.zeros(n, dtype=np.int64)
-    passes = 0
-    for r in range(config.trials):
-        rng = _ScriptedRng(draws[r])
-        if family is not None:
-            outcome = run_attack(sealed, family, rng)
-        else:
-            outcome = coin_toss_attack(sealed, config.strategy.q, rng)
-        counts[outcome.decoded] += 1
-        if verify_seal(sealed, outcome.post_state, rng):
-            passes += 1
-    return EmpiricalStats(decode_counts=counts, pass_count=passes, trials=config.trials)
 
 
 def chi_square_check(stats: EmpiricalStats, expected) -> tuple[float, bool]:

@@ -1,4 +1,4 @@
-"""Sealed-state construction and the verifier's pass/fail check.
+"""Sealed-state construction and the overlap-matrix file format.
 
 Two constructions are supported:
 
@@ -18,12 +18,11 @@ import json
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Literal
 
 import numpy as np
 
 from .errors import UsageError, ValidationError, check_dim, unit_norm_weights
-from .linalg import StateVector, fidelity
+from .linalg import StateVector
 
 THETA_MAX = math.pi / 4
 
@@ -93,16 +92,12 @@ class ProductSealSpec:
         return int(self.bits, 2)
 
 
-SealSource = Literal["general", "product"]
-
-
 @dataclass(frozen=True, eq=False)
 class SealedState:
     """A sealed state together with the message it encodes."""
 
     state: StateVector
     message: int
-    source: SealSource
 
     def __post_init__(self) -> None:
         if not 0 <= self.message < self.state.dim:
@@ -116,7 +111,7 @@ def seal_from_overlaps(overlaps: OverlapMatrix, message: int) -> SealedState:
     if not 0 <= message < overlaps.dim:
         raise UsageError(f"message {message} out of range for dim {overlaps.dim}")
     state = StateVector(overlaps.coefficients[message])
-    return SealedState(state=state, message=message, source="general")
+    return SealedState(state=state, message=message)
 
 
 def _bit_factor(theta: float) -> np.ndarray:
@@ -145,8 +140,8 @@ def product_states(thetas, messages) -> np.ndarray:
     cos(theta)|b> + sin(theta)|1-b>, where b is that bit of messages[r]
     (big-endian).  Each qubit is one broadcast multiply and reshape over
     all rows: the same products in the same order as reduce(np.kron, ...),
-    so every row equals linalg.tensor_product of the per-qubit states bit
-    for bit.
+    so every row equals the tensor_product of the per-qubit states in
+    tests/oracles.py bit for bit.
     """
     thetas = [float(t) for t in thetas]
     if not thetas:
@@ -177,22 +172,7 @@ def product_states(thetas, messages) -> np.ndarray:
 def product_seal(spec: ProductSealSpec) -> SealedState:
     """Sealed state of a product seal, built qubit by qubit."""
     state = StateVector(product_states(spec.thetas, [spec.message])[0])
-    return SealedState(state=state, message=spec.message, source="product")
-
-
-def verify_seal(
-    original: SealedState, returned: StateVector, rng: np.random.Generator
-) -> bool:
-    """Projective check onto the original sealed state.
-
-    Passes with probability fidelity(original, returned); deterministic
-    for a fixed generator state.
-    """
-    if original.state.dim != returned.dim:
-        raise UsageError(
-            f"dimension mismatch: sealed {original.state.dim}, returned {returned.dim}"
-        )
-    return bool(rng.random() < fidelity(original.state, returned))
+    return SealedState(state=state, message=spec.message)
 
 
 # Between the brackets and commas of "rows" only JSON numbers (with the
@@ -212,11 +192,13 @@ def load_overlap_matrix(path) -> OverlapMatrix:
 
     The file must hold one object with exactly the keys "dim", an integer
     N >= 1, and "rows", N rows of N [re, im] number pairs; anything else
-    raises ValidationError.  The values are those json.load and np.asarray
-    would give, bit for bit, but they are parsed as one flat JSON list:
-    the object is parsed with "rows" replaced by null, the brackets and
-    commas of "rows" are checked against the N x N x 2 layout, and the
-    bracket-free number list is parsed once.
+    raises ValidationError.  An N above the dimension cap raises
+    ResourceError as soon as "dim" is read, before "rows" is checked or
+    parsed.  The values are those json.load and np.asarray would give,
+    bit for bit, but they are parsed as one flat JSON list: the object is
+    parsed with "rows" replaced by null, the brackets and commas of
+    "rows" are checked against the N x N x 2 layout, and the bracket-free
+    number list is parsed once.
     """
     with open(path, "rb") as fh:
         text = fh.read()
@@ -229,8 +211,6 @@ def load_overlap_matrix(path) -> OverlapMatrix:
         pairs = json.loads(
             (text[:start] + b"null" + text[end:]).decode("utf-8"), object_pairs_hook=list
         )
-        rows = text[start:end]
-        del text
         if not isinstance(pairs, list) or sorted(key for key, _ in pairs) != ["dim", "rows"]:
             raise ValueError("the file must hold one object with exactly the keys 'dim' and 'rows'")
         fields = dict(pairs)
@@ -239,6 +219,9 @@ def load_overlap_matrix(path) -> OverlapMatrix:
             raise ValueError("'rows' must be an array")
         if type(dim) is not int or dim < 1:
             raise ValueError(f"'dim' must be an integer >= 1, got {dim!r}")
+        check_dim(dim)
+        rows = text[start:end]
+        del text
         skeleton = rows.translate(None, _NUMBER_BYTES)
         # testing the length first keeps a huge 'dim' from building a huge layout
         if len(skeleton) != 4 * dim * dim + 2 * dim + 1 or skeleton != _rows_layout(dim):

@@ -12,10 +12,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from oracles import apply_and_normalize
 from sealsim import claims
 from sealsim.analysis import decode_probabilities
 from sealsim.attacks import measurement_family
-from sealsim.linalg import StateVector, apply_and_normalize
+from sealsim.linalg import StateVector
 
 SEED = 42
 TRIALS = 100_000

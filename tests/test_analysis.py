@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import apply_and_normalize, flat_posterior_mass
 from sealsim.analysis import (
     DecodeMatrix,
     average_fidelity,
@@ -10,13 +11,12 @@ from sealsim.analysis import (
     decode_matrix,
     decode_probabilities,
     escape_probability,
-    flat_posterior_mass,
     mutual_information,
     tradeoff_sweep,
 )
 from sealsim.attacks import measurement_family
 from sealsim.errors import UsageError, ValidationError
-from sealsim.linalg import StateVector, apply_and_normalize
+from sealsim.linalg import StateVector
 from sealsim.montecarlo import ExperimentConfig, FamilyStrategy, chi_square_check, run_experiment
 from sealsim.seals import OverlapMatrix, ProductSealSpec, overlap_matrix
 

@@ -441,6 +441,27 @@ class TestResourceLimit:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "text, cap",
+        [
+            ((DATA / "random16.json").read_text(encoding="utf-8"), "8"),
+            # the rows are malformed too (exit 2 on their own), but the cap comes first
+            ('{"dim": 5000, "rows": []}', None),
+        ],
+        ids=["random16-cap-8", "dim-5000-default-cap"],
+    )
+    def test_lambda_file_above_the_cap_exits_3(self, capsys, tmp_path, monkeypatch, text, cap):
+        if cap is None:
+            monkeypatch.delenv("SEALSIM_MAX_DIM", raising=False)
+        else:
+            monkeypatch.setenv("SEALSIM_MAX_DIM", cap)
+        path = tmp_path / "seal.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--lambda-file", str(path))
+        assert code == 3
+        assert "resource error" in err
+        assert out == ""
+
     def test_claims_under_resource_limit_exits_3(self, capsys, monkeypatch):
         # the claims grid reaches N = 4096; a lower cap is an environment
         # problem (exit 3), not a refuted claim (exit 1)

@@ -1,14 +1,17 @@
 """Closed forms against the per-row loops they replaced, plus property tests.
 
 The oracles are the loops the library used before it switched to array
-expressions: per-outcome `apply` + `fidelity`, per-column
+expressions: per-outcome `family_apply` + `fidelity`, per-column
 `flat_posterior_mass`, per-row `average_fidelity`, the O(N^2)
 structured completeness accumulation, the per-message `tensor_product`
 of per-qubit states, the per-row entropies of `mutual_information`, the
 per-point public functions behind `tradeoff_sweep` and the plain
-inverse-CDF search behind the guide table.  Where the array form
-promises the same additions (or products) in the same order, equality
-is asserted with `==`.
+inverse-CDF search behind the guide table.  `family_apply`, `fidelity`,
+`flat_posterior_mass` and `tensor_product` live in `tests/oracles.py`,
+with the other reference paths the package no longer ships; the loops
+used only here are defined below.  Where the array form promises the
+same additions (or products) in the same order, equality is asserted
+with `==`.
 
 The property tests are derandomized with a bounded example count, so
 every run checks the same cases.
@@ -23,6 +26,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import family_apply, fidelity, flat_posterior_mass, tensor_product
 from sealsim.analysis import (
     TradeoffPoint,
     average_fidelity,
@@ -30,7 +34,6 @@ from sealsim.analysis import (
     decode_probabilities,
     escape_probability,
     expected_flat_mass,
-    flat_posterior_mass,
     flat_posterior_masses,
     mutual_information,
     tradeoff_sweep,
@@ -44,7 +47,7 @@ from sealsim.attacks import (
 )
 from sealsim.claims import THETA_GRID, seal_suite
 from sealsim.errors import UsageError
-from sealsim.linalg import StateVector, fidelity, tensor_product
+from sealsim.linalg import StateVector
 from sealsim.montecarlo import _family_tables
 from sealsim.seals import (
     OverlapMatrix,
@@ -137,7 +140,7 @@ class TestOracles:
                 family = measurement_family(om.dim, nu)
                 probs, pass_probs = _family_tables(sealed, family)
                 for i in range(om.dim):
-                    prob, post = family.apply(i, sealed.state)
+                    prob, post = family_apply(family, i, sealed.state)
                     expected = 0.0 if post is None else fidelity(sealed.state, post)
                     assert abs(probs[i] - prob) <= 1e-12
                     assert abs(pass_probs[i] - expected) <= 1e-12

@@ -7,6 +7,7 @@ import pytest
 
 import sealsim.montecarlo as mc
 
+from oracles import draw_table, replay_experiment, round_block
 from sealsim.analysis import average_fidelity, decode_probabilities
 from sealsim.errors import DEFAULT_MAX_DIM, ResourceError, UsageError, ValidationError
 from sealsim.montecarlo import (
@@ -21,9 +22,6 @@ from sealsim.montecarlo import (
     _chi_square_critical,
     chi_square_check,
     draw_chunks,
-    draw_table,
-    replay_experiment,
-    round_block,
     run_experiment,
     stats_record,
 )

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import verify_seal
 from sealsim.errors import ResourceError, UsageError, ValidationError
 from sealsim.linalg import StateVector
 from sealsim.seals import (
@@ -16,7 +17,6 @@ from sealsim.seals import (
     product_states,
     save_overlap_matrix,
     seal_from_overlaps,
-    verify_seal,
 )
 
 ATOL = 1e-12
@@ -126,7 +126,7 @@ class TestProductSeal:
         sealed = product_seal(ProductSealSpec.shared_theta("0", math.pi / 6))
         expected = [math.cos(math.pi / 6), math.sin(math.pi / 6)]
         assert np.allclose(sealed.state.amplitudes, expected, atol=ATOL)
-        assert sealed.message == 0 and sealed.source == "product"
+        assert sealed.message == 0
 
     def test_perfect_seal_is_basis_state(self):
         sealed = product_seal(ProductSealSpec.shared_theta("10", 0.0))
@@ -204,7 +204,6 @@ class TestSealFromOverlaps:
     def test_identity_row(self):
         sealed = seal_from_overlaps(OverlapMatrix.identity(4), 3)
         assert np.array_equal(sealed.state.amplitudes, [0, 0, 0, 1])
-        assert sealed.source == "general"
 
     def test_copies_the_row(self):
         om = OverlapMatrix([[math.sqrt(3) / 2, 0.5], [0.5, math.sqrt(3) / 2]])
@@ -350,8 +349,27 @@ class TestOverlapMatrixFiles:
             "number-after-bracket", "empty-amplitude", "trailing-comma", "ragged", "huge-dim",
         ],
     )
-    def test_rejects_anything_but_the_schema(self, tmp_path, text):
+    def test_rejects_anything_but_the_schema(self, tmp_path, monkeypatch, text):
+        # a cap above every 'dim' here, so that huge-dim reaches the layout check
+        monkeypatch.setenv("SEALSIM_MAX_DIM", str(10**12))
         path = tmp_path / "bad.json"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValidationError):
+            load_overlap_matrix(path)
+
+    def test_dimension_cap_is_checked_on_load(self, monkeypatch):
+        monkeypatch.setenv("SEALSIM_MAX_DIM", "8")
+        with pytest.raises(ResourceError):
+            load_overlap_matrix(DATA / "random16.json")
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"dim": 5000, "rows": []}', '{"dim": 100000000000, "rows": [[[1, 0]]]}'],
+        ids=["dim-5000", "huge-dim"],
+    )
+    def test_dimension_cap_comes_before_the_rows(self, tmp_path, monkeypatch, text):
+        monkeypatch.delenv("SEALSIM_MAX_DIM", raising=False)
+        path = tmp_path / "big.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ResourceError):
             load_overlap_matrix(path)
