@@ -21,7 +21,6 @@ from .attacks import (
 )
 from .claims import ClaimResult, format_report, run_claims
 from .errors import ResourceError, UsageError, ValidationError
-from .linalg import DenseOperator, StateVector
 from .montecarlo import (
     CoinTossStrategy,
     EmpiricalStats,
@@ -35,13 +34,11 @@ from .montecarlo import (
 from .seals import (
     OverlapMatrix,
     ProductSealSpec,
-    SealedState,
     load_overlap_matrix,
     overlap_matrix,
     product_seal,
     product_states,
     save_overlap_matrix,
-    seal_from_overlaps,
 )
 
 __version__ = "0.1.0"
@@ -51,7 +48,6 @@ __all__ = [
     "ClaimResult",
     "CoinTossStrategy",
     "DecodeMatrix",
-    "DenseOperator",
     "EmpiricalStats",
     "ExperimentConfig",
     "ExplicitSealSpec",
@@ -60,8 +56,6 @@ __all__ = [
     "OverlapMatrix",
     "ProductSealSpec",
     "ResourceError",
-    "SealedState",
-    "StateVector",
     "TradeoffPoint",
     "UsageError",
     "ValidationError",
@@ -84,7 +78,6 @@ __all__ = [
     "run_claims",
     "run_experiment",
     "save_overlap_matrix",
-    "seal_from_overlaps",
     "stats_record",
     "tradeoff_sweep",
 ]

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError, check_dim, check_unit_interval, unit_norm_weights
-from .linalg import DenseOperator, StateVector
 
 
 @dataclass(frozen=True)
@@ -63,20 +62,23 @@ class MeasurementFamily:
     def nu(self) -> float:
         return self.coeffs.nu
 
-    def operator(self, index: int) -> DenseOperator:
-        """Dense expansion of the operator targeting basis state index."""
+    def operator(self, index: int) -> np.ndarray:
+        """Dense N x N complex expansion of the operator targeting basis state index."""
         if not 0 <= index < self.dim:
             raise UsageError(f"operator index {index} out of range")
         entries = self.coeffs.a * np.eye(self.dim, dtype=complex)
         entries[index, index] += self.coeffs.b
-        return DenseOperator(entries)
+        return entries
 
-    def outcome_probabilities(self, state: StateVector) -> np.ndarray:
-        """||Q_i state||^2 for every i, from the structured form."""
-        if state.dim != self.dim:
-            raise UsageError(f"dimension mismatch: family {self.dim}, state {state.dim}")
+    def outcome_probabilities(self, weights: np.ndarray) -> np.ndarray:
+        """||Q_i c||^2 for every i, from the weights |c|^2 of a sealed row c.
+
+        The Monte Carlo samples this operator form; mc-validate checks it
+        against analysis.decode_probabilities' closed form.
+        """
+        if weights.shape != (self.dim,):
+            raise UsageError(f"dimension mismatch: family {self.dim}, weights {weights.shape}")
         a, b = self.coeffs.a, self.coeffs.b
-        weights = np.abs(state.amplitudes) ** 2
         return a * a + (2.0 * a * b + b * b) * weights
 
     def completeness_deviation(self) -> float:
@@ -91,7 +93,7 @@ class MeasurementFamily:
         if n <= 128:
             total = np.zeros((n, n), dtype=complex)
             for i in range(n):
-                q = self.operator(i).entries
+                q = self.operator(i)
                 total += q.conj().T @ q
             return float(np.max(np.abs(total - np.eye(n))))
         a, b = self.coeffs.a, self.coeffs.b

@@ -116,7 +116,7 @@ def _decode_closed_form_gap(seed: int) -> float:
         rows = _random_unit_rows(seed, n, 100)
         for nu in NU_GRID_FINE:
             family = measurement_family(n, nu)
-            ops = np.stack([family.operator(i).entries for i in range(n)])
+            ops = np.stack([family.operator(i) for i in range(n)])
             # raw[i, r] = Q_i rows[r]; summing over the contiguous last axis
             # matches ||Q psi||^2 of tests/oracles.py's apply_and_normalize
             # bit for bit
@@ -195,8 +195,7 @@ def check_escape_floor(seed: int, trials: int) -> ClaimResult:
     details.append(f"min message-averaged fidelity = {_fmt(worst)} (analytic, >= 0.5)")
 
     for spec in MC_FIXTURES:
-        sealed = product_seal(spec)
-        analytic = average_fidelity(sealed.state.amplitudes, 0.5)
+        analytic = average_fidelity(product_seal(spec), 0.5)
         config = ExperimentConfig(
             seal=spec, strategy=FamilyStrategy(nu=0.5), trials=trials, seed=seed
         )
@@ -234,7 +233,7 @@ def check_fidelity_collapse(seed: int) -> ClaimResult:
     for m in (1, 4, 10):
         n = 2**m
         spec = ProductSealSpec.shared_theta("0" * m, math.pi / 4)
-        row = product_seal(spec).state.amplitudes
+        row = product_seal(spec)
         value = average_fidelity(row, 1.0)
         ok = abs(value - 1.0 / n) <= EXACT_ATOL
         passed &= ok
@@ -271,7 +270,7 @@ def check_coin_toss_equivalence(seed: int, trials: int) -> ClaimResult:
     )
 
     spec = ProductSealSpec.shared_theta("0", math.pi / 6)
-    row = product_seal(spec).state.amplitudes
+    row = product_seal(spec)
     expected = decode_probabilities(row, 0.5)
     for label, strategy in (
         ("family nu=1/2", FamilyStrategy(nu=0.5)),

@@ -191,10 +191,7 @@ def _cmd_mc_validate(args) -> int:
         raise UsageError("pass exactly one strategy: --nu or --coin-q")
     seal = _seal_from_args(args)
     if isinstance(seal, OverlapMatrix):
-        message = 0 if args.message is None else args.message
-        if not 0 <= message < seal.dim:
-            raise UsageError(f"--message {message} out of range for dim {seal.dim}")
-        seal = ExplicitSealSpec(overlaps=seal, message=message)
+        seal = ExplicitSealSpec(overlaps=seal, message=0 if args.message is None else args.message)
     elif args.message is not None:
         raise UsageError("--message applies to --lambda-file; with --bits the bits are the message")
 
@@ -204,7 +201,7 @@ def _cmd_mc_validate(args) -> int:
         strategy = CoinTossStrategy(q=args.coin_q)
 
     config = ExperimentConfig(seal=seal, strategy=strategy, trials=args.trials, seed=args.seed)
-    sealed_row = config.sealed_state().state.amplitudes
+    sealed_row = config.sealed_row()
 
     if isinstance(strategy, FamilyStrategy):
         expected = decode_probabilities(sealed_row, strategy.nu)

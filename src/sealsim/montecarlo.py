@@ -44,14 +44,8 @@ from typing import Union
 import numpy as np
 
 from .attacks import MeasurementFamily, _GuideTable, _cumulative, measurement_family
-from .errors import UsageError, ValidationError, check_dim, check_unit_interval
-from .seals import (
-    OverlapMatrix,
-    ProductSealSpec,
-    SealedState,
-    product_seal,
-    seal_from_overlaps,
-)
+from .errors import UsageError, ValidationError, check_dim, check_unit_interval, unit_norm_weights
+from .seals import OverlapMatrix, ProductSealSpec, product_seal
 
 GENERATOR_NAME = "philox4x64"
 CHI_SQUARE_LEVEL = 0.999
@@ -65,6 +59,12 @@ class ExplicitSealSpec:
 
     overlaps: OverlapMatrix
     message: int
+
+    def __post_init__(self) -> None:
+        # a negative message would index a row from the end
+        if not 0 <= self.message < self.overlaps.dim:
+            raise UsageError(f"message {self.message} out of range for dim {self.overlaps.dim}")
+        check_dim(self.overlaps.dim)
 
     def describe(self) -> dict:
         return {"type": "general", "dim": self.overlaps.dim, "message": self.message}
@@ -112,11 +112,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         check_trials_and_seed(self.trials, self.seed)
 
-    def sealed_state(self) -> SealedState:
+    def sealed_row(self) -> np.ndarray:
+        """The read-only, unit-norm amplitude row of the sealed message."""
         if isinstance(self.seal, ProductSealSpec):
             return product_seal(self.seal)
-        check_dim(self.seal.overlaps.dim)
-        return seal_from_overlaps(self.seal.overlaps, self.seal.message)
+        return self.seal.overlaps.coefficients[self.seal.message]
 
     def describe(self) -> dict:
         seal_desc = (
@@ -175,17 +175,16 @@ def draw_chunks(seed: int, trials: int) -> Iterator[np.ndarray]:
 
 
 def _family_tables(
-    sealed: SealedState, family: MeasurementFamily
+    weights: np.ndarray, family: MeasurementFamily
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome probabilities p_i and per-outcome pass probabilities.
+    """Outcome probabilities p_i and per-outcome pass probabilities from |c|^2.
 
     Outcome i leaves (a c + b c_i |i>) / sqrt(p_i), whose fidelity with
     the sealed state c is (a + b |c_i|^2)^2 / p_i; an outcome that never
     occurs (p_i = 0) never passes.
     """
     a, b = family.coeffs.a, family.coeffs.b
-    weights = np.abs(sealed.state.amplitudes) ** 2
-    probs = family.outcome_probabilities(sealed.state)
+    probs = family.outcome_probabilities(weights)
     live = probs > 0.0
     pass_probs = np.zeros(family.dim)
     pass_probs[live] = np.minimum((a + b * weights[live]) ** 2 / probs[live], 1.0)
@@ -199,12 +198,12 @@ def run_experiment(config: ExperimentConfig) -> EmpiricalStats:
     per-round attack and verifier over the same draw table.  The tables
     are built once; the rounds are tallied in draw_chunks blocks.
     """
-    sealed = config.sealed_state()
-    n = sealed.state.dim
+    weights = unit_norm_weights(config.sealed_row(), "sealed state")
+    n = len(weights)
 
     if isinstance(config.strategy, FamilyStrategy):
         family = measurement_family(n, config.strategy.nu)
-        probs, pass_probs = _family_tables(sealed, family)
+        probs, pass_probs = _family_tables(weights, family)
         sample = _GuideTable(_cumulative(probs))
 
         def tally(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,7 +212,6 @@ def run_experiment(config: ExperimentConfig) -> EmpiricalStats:
 
     else:
         q = check_unit_interval("read probability", config.strategy.q)
-        weights = np.abs(sealed.state.amplitudes) ** 2
         sample = _GuideTable(_cumulative(weights))
 
         def tally(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,21 +8,28 @@ Two constructions are supported:
   cos(theta)|b> + sin(theta)|1-b>, so the overlap coefficients factor
   into per-bit cos/sin terms.
 
+A sealed state is one read-only, unit-norm amplitude row of length N,
+complex although the seals studied here have real coefficients: the
+probabilities only use the squared modulus, so generality is free.
+Message bit strings map to basis indices big-endian: the first bit of
+the string is the most significant bit of the index.
+
 Angles are restricted to [0, pi/4]: beyond pi/4 the flipped bit becomes
 more likely than the true one, which only relabels messages.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import mmap
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .errors import UsageError, ValidationError, check_dim, unit_norm_weights
-from .linalg import StateVector
 
 THETA_MAX = math.pi / 4
 
@@ -92,28 +99,6 @@ class ProductSealSpec:
         return int(self.bits, 2)
 
 
-@dataclass(frozen=True, eq=False)
-class SealedState:
-    """A sealed state together with the message it encodes."""
-
-    state: StateVector
-    message: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.message < self.state.dim:
-            raise UsageError(
-                f"message {self.message} out of range for dim {self.state.dim}"
-            )
-
-
-def seal_from_overlaps(overlaps: OverlapMatrix, message: int) -> SealedState:
-    """Sealed state for one message row of the general overlap model."""
-    if not 0 <= message < overlaps.dim:
-        raise UsageError(f"message {message} out of range for dim {overlaps.dim}")
-    state = StateVector(overlaps.coefficients[message])
-    return SealedState(state=state, message=message)
-
-
 def _bit_factor(theta: float) -> np.ndarray:
     # 2x2 factor relating a sealed bit to a candidate bit: diagonal cos
     # (bits agree), off-diagonal sin (bits differ).
@@ -169,10 +154,11 @@ def product_states(thetas, messages) -> np.ndarray:
     return states
 
 
-def product_seal(spec: ProductSealSpec) -> SealedState:
-    """Sealed state of a product seal, built qubit by qubit."""
-    state = StateVector(product_states(spec.thetas, [spec.message])[0])
-    return SealedState(state=state, message=spec.message)
+def product_seal(spec: ProductSealSpec) -> np.ndarray:
+    """Read-only sealed amplitude row of a product seal, built qubit by qubit."""
+    row = product_states(spec.thetas, [spec.message])[0]
+    row.setflags(write=False)
+    return row
 
 
 # Between the brackets and commas of "rows" only JSON numbers (with the
@@ -187,6 +173,14 @@ def _rows_layout(dim: int) -> bytes:
     return b"[" + b",".join([row] * dim) + b"]"
 
 
+def _map_or_read(fh):
+    """An open file's bytes, mapped read-only, or read in full if it cannot be (empty, a pipe)."""
+    try:
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError):
+        return contextlib.nullcontext(fh.read())
+
+
 def load_overlap_matrix(path) -> OverlapMatrix:
     """Load an overlap matrix from JSON: {"dim": N, "rows": [[[re, im], ...], ...]}.
 
@@ -194,34 +188,33 @@ def load_overlap_matrix(path) -> OverlapMatrix:
     N >= 1, and "rows", N rows of N [re, im] number pairs; anything else
     raises ValidationError.  An N above the dimension cap raises
     ResourceError as soon as "dim" is read, before "rows" is checked or
-    parsed.  The values are those json.load and np.asarray would give,
-    bit for bit, but they are parsed as one flat JSON list: the object is
-    parsed with "rows" replaced by null, the brackets and commas of
-    "rows" are checked against the N x N x 2 layout, and the bracket-free
-    number list is parsed once.
+    parsed; until then only the head and tail of a mapped file are read.
+    The values are those json.load and np.asarray would give, bit for
+    bit, but they are parsed as one flat JSON list: the object is parsed
+    with "rows" replaced by null, the brackets and commas of "rows" are
+    checked against the N x N x 2 layout, and the bracket-free number
+    list is parsed once.
     """
-    with open(path, "rb") as fh:
-        text = fh.read()
-    start, end = text.find(b"["), text.rfind(b"]") + 1
     try:
-        if start < 0:
-            raise ValueError("no 'rows' array")
-        # the first '[' opens "rows" and the last ']' closes it: no other
-        # value of a well-formed file holds a bracket
-        pairs = json.loads(
-            (text[:start] + b"null" + text[end:]).decode("utf-8"), object_pairs_hook=list
-        )
-        if not isinstance(pairs, list) or sorted(key for key, _ in pairs) != ["dim", "rows"]:
-            raise ValueError("the file must hold one object with exactly the keys 'dim' and 'rows'")
-        fields = dict(pairs)
-        dim = fields["dim"]
-        if fields["rows"] is not None:
-            raise ValueError("'rows' must be an array")
-        if type(dim) is not int or dim < 1:
-            raise ValueError(f"'dim' must be an integer >= 1, got {dim!r}")
-        check_dim(dim)
-        rows = text[start:end]
-        del text
+        with open(path, "rb") as fh, _map_or_read(fh) as text:
+            start, end = text.find(b"["), text.rfind(b"]") + 1
+            if start < 0:
+                raise ValueError("no 'rows' array")
+            # the first '[' opens "rows" and the last ']' closes it: no other
+            # value of a well-formed file holds a bracket
+            pairs = json.loads(
+                (text[:start] + b"null" + text[end:]).decode("utf-8"), object_pairs_hook=list
+            )
+            if not isinstance(pairs, list) or sorted(key for key, _ in pairs) != ["dim", "rows"]:
+                raise ValueError("the file must hold one object with exactly the keys 'dim' and 'rows'")
+            fields = dict(pairs)
+            dim = fields["dim"]
+            if fields["rows"] is not None:
+                raise ValueError("'rows' must be an array")
+            if type(dim) is not int or dim < 1:
+                raise ValueError(f"'dim' must be an integer >= 1, got {dim!r}")
+            check_dim(dim)
+            rows = text[start:end]
         skeleton = rows.translate(None, _NUMBER_BYTES)
         # testing the length first keeps a huge 'dim' from building a huge layout
         if len(skeleton) != 4 * dim * dim + 2 * dim + 1 or skeleton != _rows_layout(dim):

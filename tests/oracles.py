@@ -9,6 +9,10 @@ determinism contract is stated against `replay_experiment` and
 `round_block`; the tests assert that `run_experiment` and `draw_chunks`
 reproduce them exactly.
 
+States are plain complex amplitude rows and operators plain N x N
+complex arrays, as in the package.  Every state an oracle takes or makes
+passes `sealsim.errors.unit_norm_weights`, the package's one norm check.
+
 Everything here is plain and per item on purpose: a loop over rows,
 outcomes or rounds is the point of an oracle, not a cost to remove.
 """
@@ -23,8 +27,7 @@ import numpy as np
 
 from sealsim.analysis import DecodeMatrix
 from sealsim.attacks import MeasurementFamily, _cumulative, _sample_index, measurement_family
-from sealsim.errors import UsageError, check_unit_interval
-from sealsim.linalg import DenseOperator, StateVector
+from sealsim.errors import UsageError, check_unit_interval, unit_norm_weights
 from sealsim.montecarlo import (
     DRAWS_PER_ROUND,
     EmpiricalStats,
@@ -32,68 +35,78 @@ from sealsim.montecarlo import (
     FamilyStrategy,
     _philox,
 )
-from sealsim.seals import SealedState
 
 
-def basis_state(dim: int, index: int) -> StateVector:
+def unit_row(amplitudes) -> np.ndarray:
+    """amplitudes as a read-only complex row, checked to be unit-norm."""
+    row = np.array(amplitudes, dtype=complex)
+    if row.ndim != 1 or row.size == 0:
+        raise UsageError(f"a state is a non-empty 1-d row, got shape {row.shape}")
+    unit_norm_weights(row, "state")
+    row.setflags(write=False)
+    return row
+
+
+def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis state |index> in dimension dim."""
     if not 0 <= index < dim:
         raise UsageError(f"basis index {index} out of range for dim {dim}")
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
-    return StateVector(amps)
+    return unit_row(amps)
 
 
-def identity_operator(dim: int) -> DenseOperator:
-    return DenseOperator(np.eye(dim, dtype=complex))
+def identity_operator(dim: int) -> np.ndarray:
+    return np.eye(dim, dtype=complex)
 
 
-def tensor_product(factors: Sequence[StateVector]) -> StateVector:
+def tensor_product(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Tensor product of states, first factor most significant."""
     if not factors:
         raise UsageError("tensor_product requires at least one factor")
-    return StateVector(reduce(np.kron, (f.amplitudes for f in factors)))
+    return unit_row(reduce(np.kron, [unit_row(f) for f in factors]))
 
 
-def apply_and_normalize(
-    op: DenseOperator, state: StateVector
-) -> tuple[float, StateVector | None]:
+def apply_and_normalize(op: np.ndarray, state: np.ndarray) -> tuple[float, np.ndarray | None]:
     """Apply a measurement operator and renormalize.
 
     Returns (outcome probability ||op.state||^2, post-measurement state).
     A zero-norm result has probability 0 and no post state.
     """
-    if op.dim != state.dim:
-        raise UsageError(f"dimension mismatch: operator {op.dim}, state {state.dim}")
-    return _renormalize(op.entries @ state.amplitudes)
+    state = unit_row(state)
+    if op.shape != (len(state), len(state)):
+        raise UsageError(f"dimension mismatch: operator {op.shape}, state {len(state)}")
+    return _renormalize(op @ state)
 
 
-def _renormalize(raw: np.ndarray) -> tuple[float, StateVector | None]:
+def _renormalize(raw: np.ndarray) -> tuple[float, np.ndarray | None]:
     """(||raw||^2, raw / ||raw||), or (0, None) for a zero vector."""
     prob = float(np.sum(np.abs(raw) ** 2))
     if prob <= 0.0:
         return 0.0, None
-    return prob, StateVector(raw / np.sqrt(prob))
+    return prob, unit_row(raw / np.sqrt(prob))
 
 
-def fidelity(s1: StateVector, s2: StateVector) -> float:
+def fidelity(s1: np.ndarray, s2: np.ndarray) -> float:
     """|<s1|s2>|^2 — symmetric, phase-invariant, 1 iff equal up to phase."""
-    if s1.dim != s2.dim:
-        raise UsageError(f"dimension mismatch: {s1.dim} vs {s2.dim}")
-    overlap = np.vdot(s1.amplitudes, s2.amplitudes)
+    s1, s2 = unit_row(s1), unit_row(s2)
+    if len(s1) != len(s2):
+        raise UsageError(f"dimension mismatch: {len(s1)} vs {len(s2)}")
+    overlap = np.vdot(s1, s2)
     return float(min(abs(overlap) ** 2, 1.0))
 
 
 def family_apply(
-    family: MeasurementFamily, index: int, state: StateVector
-) -> tuple[float, StateVector | None]:
+    family: MeasurementFamily, index: int, state: np.ndarray
+) -> tuple[float, np.ndarray | None]:
     """Structured application of operator `index` of the family; (prob, post)."""
-    if state.dim != family.dim:
-        raise UsageError(f"dimension mismatch: family {family.dim}, state {state.dim}")
+    state = unit_row(state)
+    if len(state) != family.dim:
+        raise UsageError(f"dimension mismatch: family {family.dim}, state {len(state)}")
     if not 0 <= index < family.dim:
         raise UsageError(f"operator index {index} out of range")
-    raw = family.coeffs.a * state.amplitudes
-    raw[index] += family.coeffs.b * state.amplitudes[index]
+    raw = family.coeffs.a * state
+    raw[index] += family.coeffs.b * state[index]
     return _renormalize(raw)
 
 
@@ -102,29 +115,28 @@ class AttackOutcome:
     """Result of one attack round."""
 
     decoded: int | None
-    post_state: StateVector
+    post_state: np.ndarray
     acted: bool
 
 
 def run_attack(
-    sealed: SealedState, family: MeasurementFamily, rng: np.random.Generator
+    sealed: np.ndarray, family: MeasurementFamily, rng: np.random.Generator
 ) -> AttackOutcome:
-    """One round of the measurement-family attack (Lueders update)."""
-    if sealed.state.dim != family.dim:
-        raise UsageError(
-            f"dimension mismatch: sealed {sealed.state.dim}, family {family.dim}"
-        )
-    probs = family.outcome_probabilities(sealed.state)
+    """One round of the measurement-family attack (Lueders update) on a sealed row."""
+    weights = unit_norm_weights(sealed, "sealed state")
+    if len(sealed) != family.dim:
+        raise UsageError(f"dimension mismatch: sealed {len(sealed)}, family {family.dim}")
+    probs = family.outcome_probabilities(weights)
     outcome = int(_sample_index(_cumulative(probs), rng.random()))
-    _, post = family_apply(family, outcome, sealed.state)
+    _, post = family_apply(family, outcome, sealed)
     assert post is not None  # sampled outcomes have positive probability
     return AttackOutcome(decoded=outcome, post_state=post, acted=True)
 
 
 def coin_toss_attack(
-    sealed: SealedState, read_probability: float, rng: np.random.Generator
+    sealed: np.ndarray, read_probability: float, rng: np.random.Generator
 ) -> AttackOutcome:
-    """One round of the coin-toss analog.
+    """One round of the coin-toss analog on a sealed row.
 
     With probability q, measure honestly in the computational basis and
     report the outcome; otherwise do nothing and report a uniform guess.
@@ -132,28 +144,24 @@ def coin_toss_attack(
     either the honest-outcome draw or the guess draw.
     """
     q = check_unit_interval("read probability", read_probability)
-    n = sealed.state.dim
+    weights = unit_norm_weights(sealed, "sealed state")
+    n = len(sealed)
     if rng.random() < q:
-        weights = np.abs(sealed.state.amplitudes) ** 2
         outcome = int(_sample_index(_cumulative(weights), rng.random()))
         return AttackOutcome(decoded=outcome, post_state=basis_state(n, outcome), acted=True)
     guess = min(int(rng.random() * n), n - 1)
-    return AttackOutcome(decoded=guess, post_state=sealed.state, acted=False)
+    return AttackOutcome(decoded=guess, post_state=sealed, acted=False)
 
 
-def verify_seal(
-    original: SealedState, returned: StateVector, rng: np.random.Generator
-) -> bool:
-    """Projective check onto the original sealed state.
+def verify_seal(original: np.ndarray, returned: np.ndarray, rng: np.random.Generator) -> bool:
+    """Projective check onto the original sealed row.
 
     Passes with probability fidelity(original, returned); deterministic
     for a fixed generator state.
     """
-    if original.state.dim != returned.dim:
-        raise UsageError(
-            f"dimension mismatch: sealed {original.state.dim}, returned {returned.dim}"
-        )
-    return bool(rng.random() < fidelity(original.state, returned))
+    if len(original) != len(returned):
+        raise UsageError(f"dimension mismatch: sealed {len(original)}, returned {len(returned)}")
+    return bool(rng.random() < fidelity(original, returned))
 
 
 def flat_posterior_mass(dm: DecodeMatrix, decoded: int) -> float:
@@ -194,8 +202,8 @@ class ScriptedRng:
 
 def replay_experiment(config: ExperimentConfig) -> EmpiricalStats:
     """Round-by-round reference for run_experiment: attack, then verify."""
-    sealed = config.sealed_state()
-    n = sealed.state.dim
+    sealed = config.sealed_row()
+    n = len(sealed)
     draws = draw_table(config.seed, config.trials)
 
     family: MeasurementFamily | None = None

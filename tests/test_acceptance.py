@@ -16,7 +16,6 @@ from oracles import apply_and_normalize
 from sealsim import claims
 from sealsim.analysis import decode_probabilities
 from sealsim.attacks import measurement_family
-from sealsim.linalg import StateVector
 
 SEED = 42
 TRIALS = 100_000
@@ -116,12 +115,11 @@ def dense_loop_gap(seed: int) -> float:
     worst = 0.0
     for n in (2, 4, 16):
         for row in claims._random_unit_rows(seed, n, 100):
-            state = StateVector(row)
             for nu in claims.NU_GRID_FINE:
                 family = measurement_family(n, nu)
                 closed = decode_probabilities(row, nu)
                 for i in range(n):
-                    prob, _ = apply_and_normalize(family.operator(i), state)
+                    prob, _ = apply_and_normalize(family.operator(i), row)
                     worst = max(worst, abs(prob - closed[i]))
     return worst
 

@@ -16,7 +16,6 @@ from sealsim.analysis import (
 )
 from sealsim.attacks import measurement_family
 from sealsim.errors import UsageError, ValidationError
-from sealsim.linalg import StateVector
 from sealsim.montecarlo import ExperimentConfig, FamilyStrategy, chi_square_check, run_experiment
 from sealsim.seals import OverlapMatrix, ProductSealSpec, overlap_matrix
 
@@ -64,12 +63,11 @@ class TestDecodeMatrix:
             for _ in range(20):
                 raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 row = raw / np.linalg.norm(raw)
-                state = StateVector(row)
                 for nu in np.linspace(0, 1, 11):
                     family = measurement_family(n, nu)
                     closed = decode_probabilities(row, nu)
                     for i in range(n):
-                        prob, _ = apply_and_normalize(family.operator(i), state)
+                        prob, _ = apply_and_normalize(family.operator(i), row)
                         assert abs(prob - closed[i]) <= ATOL
 
     def test_nu_out_of_range(self):
@@ -175,7 +173,7 @@ class TestAverageFidelity:
     def test_uniform_seal_collapses_to_one_over_n(self, m, expected):
         from sealsim.seals import product_seal
 
-        row = product_seal(ProductSealSpec.shared_theta("0" * m, math.pi / 4)).state.amplitudes
+        row = product_seal(ProductSealSpec.shared_theta("0" * m, math.pi / 4))
         assert abs(average_fidelity(row, 1.0) - expected) <= ATOL
 
     def test_quartic_sum_at_nu_one(self):

@@ -238,6 +238,17 @@ class TestMcValidate:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "--message" in err
 
+    @pytest.mark.parametrize("message", ["16", "-1"])
+    def test_message_out_of_range_is_a_usage_error(self, capsys, message):
+        # -1 would otherwise seal the last row
+        code, out, err = run_cli(
+            capsys,
+            "mc-validate", "--lambda-file", str(DATA / "random16.json"), "--nu", "0.5",
+            "--trials", "2000", "--message", message,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "out of range" in err
+
     def test_thetas_list(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -424,6 +435,31 @@ def test_chi_square_commands_run_without_scipy(command):
     for result in runs.values():
         assert result.returncode == 0, result.stderr
     assert runs["blocked"].stdout == runs["open"].stdout
+
+
+class TestLambdaFileSources:
+    @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="needs /dev/stdin")
+    def test_piped_file_prints_the_same_bytes(self):
+        # a pipe cannot be mapped: the loader reads it in full
+        path = DATA / "random16.json"
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "sealsim", "sweep", "--lambda-file", source],
+                input=path.read_bytes() if source == "/dev/stdin" else b"",
+                capture_output=True,
+                timeout=120,
+            )
+            for source in (str(path), "/dev/stdin")
+        ]
+        assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
+        assert runs[0].stdout and runs[1].stdout == runs[0].stdout
+
+    def test_empty_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_bytes(b"")
+        code, out, err = run_cli(capsys, "sweep", "--lambda-file", str(path))
+        assert code == 2 and out == ""
+        assert "malformed overlap file" in err
 
 
 class TestResourceLimit:

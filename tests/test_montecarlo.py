@@ -71,8 +71,8 @@ class TestExperimentConfig:
     def test_explicit_seal(self):
         seal = ExplicitSealSpec(overlaps=OverlapMatrix.identity(4), message=2)
         config = ExperimentConfig(seal=seal, strategy=FamilyStrategy(1.0), trials=5, seed=0)
-        sealed = config.sealed_state()
-        assert sealed.message == 2
+        assert np.array_equal(config.sealed_row(), [0, 0, 1, 0])
+        assert config.seal.message == 2
         assert config.describe()["seal"] == {"type": "general", "dim": 4, "message": 2}
 
     def test_oversized_dimension_is_resource_error(self, monkeypatch):

@@ -2,7 +2,8 @@
 
 The dense and round-by-round forms that no command runs live in
 `tests/oracles.py`.  These tests pin `sealsim.__all__` and check that
-those forms stay out of the runtime modules.
+those forms, and the state and operator wrapper types a sealed row
+replaced, stay out of the runtime modules.
 """
 
 import importlib
@@ -11,16 +12,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sealsim
+from sealsim.seals import ProductSealSpec, product_seal, product_states
 
 PUBLIC = [
     "AttackCoefficients",
     "ClaimResult",
     "CoinTossStrategy",
     "DecodeMatrix",
-    "DenseOperator",
     "EmpiricalStats",
     "ExperimentConfig",
     "ExplicitSealSpec",
@@ -29,8 +31,6 @@ PUBLIC = [
     "OverlapMatrix",
     "ProductSealSpec",
     "ResourceError",
-    "SealedState",
-    "StateVector",
     "TradeoffPoint",
     "UsageError",
     "ValidationError",
@@ -53,7 +53,6 @@ PUBLIC = [
     "run_claims",
     "run_experiment",
     "save_overlap_matrix",
-    "seal_from_overlaps",
     "stats_record",
     "tradeoff_sweep",
 ]
@@ -75,16 +74,25 @@ MOVED_TO_ORACLES = [
     ("analysis", "flat_posterior_mass"),
 ]
 
+RUNTIME_MODULES = ("analysis", "attacks", "claims", "cli", "errors", "montecarlo", "seals")
+
+# a sealed state is a plain amplitude row and an operator a plain array
+REMOVED = [
+    ("linalg", "StateVector"),
+    ("linalg", "DenseOperator"),
+    ("seals", "SealedState"),
+    ("seals", "seal_from_overlaps"),
+]
+
 MOVED_METHODS = [
     ("MeasurementFamily", "apply"),
-    ("StateVector", "basis"),
-    ("DenseOperator", "identity"),
-    ("SealedState", "source"),
+    ("ExperimentConfig", "sealed_state"),
 ]
 
 
 def test_all_is_the_pruned_list():
     assert sealsim.__all__ == PUBLIC
+    assert len(PUBLIC) == 36
 
 
 def test_every_listed_name_imports():
@@ -94,10 +102,27 @@ def test_every_listed_name_imports():
     assert all(getattr(sealsim, name) is namespace[name] for name in PUBLIC)
 
 
-@pytest.mark.parametrize("module, name", MOVED_TO_ORACLES, ids=[".".join(p) for p in MOVED_TO_ORACLES])
+@pytest.mark.parametrize(
+    "module, name", MOVED_TO_ORACLES + REMOVED, ids=[".".join(p) for p in MOVED_TO_ORACLES + REMOVED]
+)
 def test_moved_names_are_gone_from_the_package(module, name):
-    assert not hasattr(importlib.import_module(f"sealsim.{module}"), name)
+    # `module` names where the name used to live; no runtime module holds it now
+    for runtime in RUNTIME_MODULES:
+        assert not hasattr(importlib.import_module(f"sealsim.{runtime}"), name)
     assert not hasattr(sealsim, name)
+
+
+def test_the_linalg_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("sealsim.linalg")
+
+
+def test_product_seal_is_the_read_only_product_states_row():
+    spec = ProductSealSpec("0110", (0.1, 0.2, 0.3, 0.7))
+    row = product_seal(spec)
+    assert isinstance(row, np.ndarray) and row.ndim == 1 and row.dtype == complex
+    assert not row.flags.writeable
+    assert row.tobytes() == product_states(spec.thetas, [spec.message])[0].tobytes()
 
 
 @pytest.mark.parametrize("cls, attr", MOVED_METHODS, ids=[".".join(p) for p in MOVED_METHODS])

@@ -1,13 +1,14 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import verify_seal
+from oracles import unit_row, verify_seal
 from sealsim.errors import ResourceError, UsageError, ValidationError
-from sealsim.linalg import StateVector
+from sealsim.montecarlo import ExperimentConfig, ExplicitSealSpec, FamilyStrategy
 from sealsim.seals import (
     OverlapMatrix,
     ProductSealSpec,
@@ -16,7 +17,6 @@ from sealsim.seals import (
     product_seal,
     product_states,
     save_overlap_matrix,
-    seal_from_overlaps,
 )
 
 ATOL = 1e-12
@@ -24,6 +24,12 @@ DATA = Path(__file__).parent / "data"
 GOLDEN_FILES = ("random16.json", "sparse16.json", "random64.json")
 IDENTITY2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 THETA_GRID = (0.0, math.pi / 12, math.pi / 6, math.pi / 4)
+
+
+def explicit_row(om: OverlapMatrix, message: int) -> np.ndarray:
+    """The sealed row of message `message` of an explicit seal."""
+    seal = ExplicitSealSpec(overlaps=om, message=message)
+    return ExperimentConfig(seal=seal, strategy=FamilyStrategy(0.5), trials=1, seed=0).sealed_row()
 
 
 def entrywise_overlap(i_bits: str, j_bits: str, thetas) -> float:
@@ -123,20 +129,20 @@ class TestOverlapMatrixFromSpec:
 
 class TestProductSeal:
     def test_single_qubit(self):
-        sealed = product_seal(ProductSealSpec.shared_theta("0", math.pi / 6))
+        spec = ProductSealSpec.shared_theta("0", math.pi / 6)
         expected = [math.cos(math.pi / 6), math.sin(math.pi / 6)]
-        assert np.allclose(sealed.state.amplitudes, expected, atol=ATOL)
-        assert sealed.message == 0
+        assert np.allclose(product_seal(spec), expected, atol=ATOL)
+        assert spec.message == 0
 
     def test_perfect_seal_is_basis_state(self):
-        sealed = product_seal(ProductSealSpec.shared_theta("10", 0.0))
-        assert np.array_equal(sealed.state.amplitudes, [0, 0, 1, 0])
-        assert sealed.message == 2
+        spec = ProductSealSpec.shared_theta("10", 0.0)
+        assert np.array_equal(product_seal(spec), [0, 0, 1, 0])
+        assert spec.message == 2
 
     def test_double_flip_amplitude(self):
         # amplitude on |00> when sealing "11" is sin(theta)^2
         sealed = product_seal(ProductSealSpec.shared_theta("11", math.pi / 6))
-        assert sealed.state.amplitudes[0] == pytest.approx(0.25, abs=ATOL)
+        assert sealed[0] == pytest.approx(0.25, abs=ATOL)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("theta", THETA_GRID)
@@ -145,8 +151,8 @@ class TestProductSeal:
         for message in range(2**m):
             bits = format(message, f"0{m}b")
             sealed = product_seal(ProductSealSpec.shared_theta(bits, theta))
-            general = seal_from_overlaps(om, message)
-            dev = np.max(np.abs(sealed.state.amplitudes - general.state.amplitudes))
+            general = explicit_row(om, message)
+            dev = np.max(np.abs(sealed - general))
             assert dev <= ATOL
 
     def test_equals_overlap_row_with_mixed_angles(self):
@@ -155,7 +161,7 @@ class TestProductSeal:
         for message in range(8):
             bits = format(message, "03b")
             sealed = product_seal(ProductSealSpec(bits, thetas))
-            dev = np.max(np.abs(sealed.state.amplitudes - om.coefficients[message]))
+            dev = np.max(np.abs(sealed - om.coefficients[message]))
             assert dev <= ATOL
 
 
@@ -165,7 +171,7 @@ class TestProductStates:
         assert states.shape == (3, 4)
         assert np.array_equal(states[0], states[2])
         sealed = product_seal(ProductSealSpec("00", (math.pi / 6, 0.0)))
-        assert np.array_equal(states[1], sealed.state.amplitudes)
+        assert np.array_equal(states[1], sealed)
 
     @pytest.mark.parametrize("theta", [-0.1, math.pi / 3, math.nan])
     def test_rejects_angle_outside_range(self, theta):
@@ -200,44 +206,56 @@ class TestProductStates:
             product_seal(ProductSealSpec.shared_theta("0000", 0.1))
 
 
-class TestSealFromOverlaps:
+class TestExplicitSealRow:
     def test_identity_row(self):
-        sealed = seal_from_overlaps(OverlapMatrix.identity(4), 3)
-        assert np.array_equal(sealed.state.amplitudes, [0, 0, 0, 1])
+        sealed = explicit_row(OverlapMatrix.identity(4), 3)
+        assert np.array_equal(sealed, [0, 0, 0, 1])
 
     def test_copies_the_row(self):
         om = OverlapMatrix([[math.sqrt(3) / 2, 0.5], [0.5, math.sqrt(3) / 2]])
-        sealed = seal_from_overlaps(om, 0)
-        assert np.allclose(sealed.state.amplitudes, [math.sqrt(3) / 2, 0.5], atol=ATOL)
+        sealed = explicit_row(om, 0)
+        assert np.allclose(sealed, [math.sqrt(3) / 2, 0.5], atol=ATOL)
 
-    def test_out_of_range_message(self):
+    @pytest.mark.parametrize("message", [2, -1])
+    def test_out_of_range_message(self, message):
+        # -1 would index the last row
         with pytest.raises(UsageError):
-            seal_from_overlaps(OverlapMatrix.identity(2), 2)
+            ExplicitSealSpec(overlaps=OverlapMatrix.identity(2), message=message)
 
     def test_result_is_normalized(self):
         rng = np.random.default_rng(7)
         raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        sealed = seal_from_overlaps(OverlapMatrix(raw), 2)
-        assert abs(np.sum(np.abs(sealed.state.amplitudes) ** 2) - 1.0) <= ATOL
+        sealed = explicit_row(OverlapMatrix(raw), 2)
+        assert abs(np.sum(np.abs(sealed) ** 2) - 1.0) <= ATOL
+
+    def test_row_is_read_only(self):
+        with pytest.raises(ValueError):
+            explicit_row(OverlapMatrix.identity(2), 0)[0] = 0.5
+
+    def test_dimension_cap(self, monkeypatch):
+        om = OverlapMatrix.identity(16)
+        monkeypatch.setenv("SEALSIM_MAX_DIM", "8")
+        with pytest.raises(ResourceError):
+            ExplicitSealSpec(overlaps=om, message=0)
 
 
 class TestVerify:
     def test_same_state_always_passes(self):
         sealed = product_seal(ProductSealSpec.shared_theta("01", math.pi / 6))
         rng = np.random.default_rng(0)
-        assert all(verify_seal(sealed, sealed.state, rng) for _ in range(200))
+        assert all(verify_seal(sealed, sealed, rng) for _ in range(200))
 
     def test_orthogonal_state_always_fails(self):
         sealed = product_seal(ProductSealSpec.shared_theta("0", 0.0))
-        orthogonal = StateVector([0.0, 1.0])
+        orthogonal = unit_row([0.0, 1.0])
         rng = np.random.default_rng(0)
         assert not any(verify_seal(sealed, orthogonal, rng) for _ in range(200))
 
     def test_pass_rate_tracks_fidelity(self):
         # fidelity 0.75 between |0> and the pi/6 rotation
         sealed = product_seal(ProductSealSpec.shared_theta("0", 0.0))
-        returned = StateVector([math.cos(math.pi / 6), math.sin(math.pi / 6)])
+        returned = unit_row([math.cos(math.pi / 6), math.sin(math.pi / 6)])
         trials = 100_000
         rng = np.random.default_rng(314159)
         passes = sum(verify_seal(sealed, returned, rng) for _ in range(trials))
@@ -247,11 +265,11 @@ class TestVerify:
     def test_dimension_mismatch(self):
         sealed = product_seal(ProductSealSpec.shared_theta("0", 0.0))
         with pytest.raises(UsageError):
-            verify_seal(sealed, StateVector([1, 0, 0, 0]), np.random.default_rng(0))
+            verify_seal(sealed, unit_row([1, 0, 0, 0]), np.random.default_rng(0))
 
     def test_deterministic_given_seed(self):
         sealed = product_seal(ProductSealSpec.shared_theta("0", math.pi / 4))
-        returned = StateVector([1.0, 0.0])
+        returned = unit_row([1.0, 0.0])
         first = [verify_seal(sealed, returned, np.random.default_rng(5)) for _ in range(1)]
         second = [verify_seal(sealed, returned, np.random.default_rng(5)) for _ in range(1)]
         assert first == second
@@ -341,12 +359,14 @@ class TestOverlapMatrixFiles:
             '{"dim": 1, "rows": [[[1, 0], ]]}',
             '{"dim": 2, "rows": [[[1, 0], [0, 0]], [[0, 0, 1]]]}',
             '{"dim": 100000000000, "rows": [[[1, 0]]]}',
+            "",
         ],
         ids=[
             "float-dim", "integral-float-dim", "string-dim", "bool-dim", "zero-dim",
             "duplicate-dim", "duplicate-rows", "extra-key", "extra-key-with-bracket",
             "null-rows", "string-rows", "bare-array", "string-amplitude", "bool-amplitude",
             "number-after-bracket", "empty-amplitude", "trailing-comma", "ragged", "huge-dim",
+            "empty-file",
         ],
     )
     def test_rejects_anything_but_the_schema(self, tmp_path, monkeypatch, text):
@@ -356,6 +376,28 @@ class TestOverlapMatrixFiles:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValidationError):
             load_overlap_matrix(path)
+
+    @pytest.mark.parametrize("dim_first", [True, False], ids=["dim-first", "dim-last"])
+    def test_oversized_file_is_refused_before_its_rows_are_read(
+        self, tmp_path, monkeypatch, dim_first
+    ):
+        # N = 1024 unit rows, about 15 MB: a file read in full would peak there
+        row = "[" + ",".join(["[0.03125,0.0]"] * 1024) + "]"
+        rows = "[" + ",".join([row] * 1024) + "]"
+        text = f'{{"dim": 1024, "rows": {rows}}}' if dim_first else f'{{"rows": {rows}, "dim": 1024}}'
+        path = tmp_path / "big.json"
+        path.write_text(text, encoding="ascii")
+        del row, rows, text
+        assert path.stat().st_size >= 8 * 2**20
+        monkeypatch.setenv("SEALSIM_MAX_DIM", "64")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                load_overlap_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_dimension_cap_is_checked_on_load(self, monkeypatch):
         monkeypatch.setenv("SEALSIM_MAX_DIM", "8")
