@@ -1,7 +1,6 @@
 """Exact and Monte Carlo analysis of read-attacks on quantum string seals."""
 
 from .analysis import (
-    DecodeMatrix,
     TradeoffPoint,
     average_fidelity,
     bit_seal_point,
@@ -13,7 +12,6 @@ from .analysis import (
     tradeoff_sweep,
 )
 from .attacks import (
-    AttackCoefficients,
     MeasurementFamily,
     coin_toss_escape_probability,
     coin_toss_probabilities,
@@ -44,10 +42,8 @@ from .seals import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackCoefficients",
     "ClaimResult",
     "CoinTossStrategy",
-    "DecodeMatrix",
     "EmpiricalStats",
     "ExperimentConfig",
     "ExplicitSealSpec",

@@ -4,6 +4,13 @@ Everything here is exact finite-N arithmetic: decode probabilities,
 the flat share of the attacker's posterior, Shannon mutual information
 (base 2, uniform message prior), post-attack fidelities, and the
 read-strength tradeoff sweep.
+
+Every closed form reads the weights W = |c|^2 of the sealed rows.  They
+are checked once, where amplitudes enter: `OverlapMatrix.weights`, or
+`errors.unit_norm_weights` for rows from anywhere else.  Since each row
+of W is non-negative and sums to 1 within NORM_ATOL, every decode row
+(1-nu)/N + nu w sums to 1 within that tolerance and stays at or above
+the flat floor (1-nu)/N; nothing here checks them again.
 """
 
 from __future__ import annotations
@@ -13,40 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import AttackCoefficients
-from .errors import NORM_ATOL, UsageError, ValidationError, check_unit_interval, unit_norm_weights
+from .attacks import MeasurementFamily
+from .errors import UsageError, check_unit_interval, unit_norm_weights
 from .seals import OverlapMatrix, _check_angle
-
-FLOOR_ATOL = 1e-15
-
-
-@dataclass(frozen=True, eq=False)
-class DecodeMatrix:
-    """Row-stochastic matrix: entry (i', i) = P(decoded = i | message = i')."""
-
-    probabilities: np.ndarray
-    nu: float
-
-    def __init__(self, probabilities, nu: float) -> None:
-        arr = np.array(probabilities, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError(f"decode matrix must be square, got {arr.shape}")
-        n = arr.shape[0]
-        row_sums = arr.sum(axis=1)
-        if not np.max(np.abs(row_sums - 1.0)) <= NORM_ATOL:  # also rejects NaN
-            raise ValidationError(f"decode rows must sum to 1, got {row_sums}")
-        floor = (1.0 - nu) / n
-        if np.min(arr) < floor - FLOOR_ATOL:
-            raise ValidationError(
-                f"decode entries fall below the flat floor {floor}: min {arr.min()}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "probabilities", arr)
-        object.__setattr__(self, "nu", float(nu))
-
-    @property
-    def dim(self) -> int:
-        return self.probabilities.shape[0]
 
 
 @dataclass(frozen=True)
@@ -60,28 +36,25 @@ class TradeoffPoint:
     flat_mass: float
 
 
-def decode_probabilities(amplitude_row, nu: float) -> np.ndarray:
-    """Decode distribution (1-nu)/N + nu |c_i|^2 for one sealed state.
+def decode_probabilities(weights, nu: float) -> np.ndarray:
+    """Decode distribution (1-nu)/N + nu w for the weights w = |c|^2 of a sealed row.
 
-    A stack of amplitude rows (N along the last axis) gives one
+    A stack of weight rows (N along the last axis) gives one
     distribution per row.
     """
     check_unit_interval("nu", nu)
-    row = np.asarray(amplitude_row, dtype=complex)
-    return _decode_rows(unit_norm_weights(row, "amplitude row"), nu)
-
-
-def _decode_rows(weights: np.ndarray, nu: float) -> np.ndarray:
-    """(1-nu)/N + nu w for weights w = |c|^2, N along the last axis."""
+    weights = np.asarray(weights, dtype=float)
     return (1.0 - nu) / weights.shape[-1] + nu * weights
 
 
-def decode_matrix(overlaps: OverlapMatrix, nu: float) -> DecodeMatrix:
-    """Full decode matrix, one row per sealed message."""
-    return DecodeMatrix(decode_probabilities(overlaps.coefficients, nu), nu)
+def decode_matrix(overlaps: OverlapMatrix, nu: float) -> np.ndarray:
+    """Read-only decode matrix: entry (i', i) = P(decoded = i | message = i')."""
+    probs = decode_probabilities(overlaps.weights, nu)
+    probs.setflags(write=False)
+    return probs
 
 
-def flat_posterior_masses(dm: DecodeMatrix) -> np.ndarray:
+def flat_posterior_masses(probs: np.ndarray, nu: float) -> np.ndarray:
     """Share of the posterior over messages explained by the flat component.
 
     One value per decoded outcome, under a uniform message prior.  Given
@@ -92,14 +65,14 @@ def flat_posterior_masses(dm: DecodeMatrix) -> np.ndarray:
     Each column is summed in the order of the per-column
     flat_posterior_mass in tests/oracles.py, so the values are equal.
     """
-    column_sums = _column_sums(dm.probabilities)
+    column_sums = _column_sums(probs)
     zero = np.flatnonzero(~(column_sums > 0.0))
     if zero.size:
         raise UsageError(
             f"decoded values {zero.tolist()} have zero marginal probability; "
             "flat posterior mass is undefined"
         )
-    return (1.0 - dm.nu) / column_sums
+    return (1.0 - nu) / column_sums
 
 
 def _column_sums(probs: np.ndarray) -> np.ndarray:
@@ -109,13 +82,12 @@ def _column_sums(probs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(probs.T).sum(axis=1)
 
 
-def mutual_information(dm: DecodeMatrix) -> float:
+def mutual_information(probs: np.ndarray) -> float:
     """I(message; decoded) in bits under a uniform message prior.
 
     Computed as H(decoded) - H(decoded | message) with the convention
     0 log 0 = 0; clamped at 0 against floating-point cancellation.
     """
-    probs = dm.probabilities
     marginal = probs.mean(axis=0)
     h_decoded = _entropy_bits(marginal)
     # Rows without zeros take one axis=1 reduction, which sums each row in
@@ -125,7 +97,7 @@ def mutual_information(dm: DecodeMatrix) -> float:
     live = probs if zero_free.all() else probs[zero_free]
     terms = np.log2(live)
     terms *= live
-    entropies = np.empty(dm.dim)
+    entropies = np.empty(probs.shape[0])
     entropies[zero_free] = -terms.sum(axis=1)
     entropies[~zero_free] = [_entropy_bits(row) for row in probs[~zero_free]]
     return max(h_decoded - float(np.mean(entropies)), 0.0)
@@ -137,46 +109,41 @@ def _entropy_bits(distribution: np.ndarray) -> float:
     return float(-np.sum(positive * np.log2(positive)))
 
 
-def average_fidelity(amplitude_row, nu: float) -> float | np.ndarray:
+def average_fidelity(weights, nu: float) -> float | np.ndarray:
     """Expected fidelity between a sealed state and its post-attack state.
 
-    For the measurement family this is sum_i (a + b |c_i|^2)^2, the
-    outcome-weighted fidelity of the renormalized post states; at nu = 1
-    it collapses to sum_i |c_i|^4.  A stack of amplitude rows (N along
-    the last axis) gives an array with one fidelity per row.
+    For the measurement family this is sum_i (a + b w_i)^2 over the
+    weights w = |c|^2, the outcome-weighted fidelity of the renormalized
+    post states; at nu = 1 it collapses to sum_i w_i^2.  A stack of
+    weight rows (N along the last axis) gives an array with one fidelity
+    per row.
     """
-    row = np.asarray(amplitude_row, dtype=complex)
-    average = _average_fidelities(unit_norm_weights(row, "amplitude row"), nu)
+    weights = np.asarray(weights, dtype=float)
+    family = MeasurementFamily.from_nu(weights.shape[-1], nu)
+    fidelities = (family.a + family.b * weights) ** 2
+    average = np.minimum(fidelities.sum(axis=-1), 1.0)
     return float(average) if average.ndim == 0 else average
-
-
-def _average_fidelities(weights: np.ndarray, nu: float) -> np.ndarray:
-    """average_fidelity from weights w = |c|^2, N along the last axis."""
-    coeffs = AttackCoefficients.from_nu(weights.shape[-1], nu)
-    fidelities = (coeffs.a + coeffs.b * weights) ** 2
-    return np.minimum(fidelities.sum(axis=-1), 1.0)
 
 
 def escape_probability(overlaps: OverlapMatrix, nu: float) -> float:
     """Message-averaged post-attack fidelity under a uniform prior."""
-    return float(np.mean(average_fidelity(overlaps.coefficients, nu)))
+    return float(np.mean(average_fidelity(overlaps.weights, nu)))
 
 
-def expected_flat_mass(dm: DecodeMatrix) -> float:
+def expected_flat_mass(probs: np.ndarray, nu: float) -> float:
     """Flat posterior mass averaged over decoded outcomes.
 
     Weights each decoded value by its marginal probability; for any seal
     this expectation equals 1 - nu, the total weight of the attack's
     do-nothing component.
     """
-    probs = dm.probabilities
     marginals = probs.mean(axis=0)
     live = marginals > 0.0
     # Same order of additions as flat_posterior_masses per column and
     # then a running total (cumsum): a pairwise sum of the terms, or of
     # the columns down axis 0, moves the 17-digit result by an ulp.
     column_sums = _column_sums(probs)
-    terms = marginals[live] * ((1.0 - dm.nu) / column_sums[live])
+    terms = marginals[live] * ((1.0 - nu) / column_sums[live])
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
@@ -184,32 +151,31 @@ def tradeoff_sweep(overlaps: OverlapMatrix, nu_grid) -> list[TradeoffPoint]:
     """Evaluate the tradeoff at every grid value of nu.
 
     Grid values must lie in [0, 1] and increase strictly.  Points are
-    independent; output order follows the grid.  The weights |c|^2 are
-    computed and checked once; each point equals decode_matrix,
-    mutual_information, escape_probability and expected_flat_mass at
-    that nu, bit for bit.
+    independent; output order follows the grid.  Each point equals
+    decode_matrix, mutual_information, escape_probability and
+    expected_flat_mass at that nu, bit for bit.
     """
     grid = [check_unit_interval("grid value", float(v)) for v in nu_grid]
     if not grid:
         raise UsageError("nu grid must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise UsageError("nu grid must be strictly increasing")
-
-    weights = unit_norm_weights(overlaps.coefficients, "amplitude row")
-    return [_tradeoff_point(weights, nu) for nu in grid]
+    return [_tradeoff_point(overlaps.weights, nu) for nu in grid]
 
 
 def _tradeoff_point(weights: np.ndarray, nu: float) -> TradeoffPoint:
     # One point per call, so no two decode matrices are alive at once
     # and the escape probability's temporary is freed before either.
-    escape = float(np.mean(_average_fidelities(weights, nu)))
-    dm = DecodeMatrix(_decode_rows(weights, nu), nu)
+    # The one-line bodies of escape_probability and decode_matrix stand
+    # in for calls, so a profile of those two holds only direct callers.
+    escape = float(np.mean(average_fidelity(weights, nu)))
+    probs = decode_probabilities(weights, nu)
     return TradeoffPoint(
         nu=nu,
-        mutual_information=mutual_information(dm),
-        guess_probability=float(np.trace(dm.probabilities)) / dm.dim,
+        mutual_information=mutual_information(probs),
+        guess_probability=float(np.trace(probs)) / probs.shape[0],
         escape_probability=escape,
-        flat_mass=expected_flat_mass(dm),
+        flat_mass=expected_flat_mass(probs, nu),
     )
 
 
@@ -225,5 +191,5 @@ def bit_seal_point(theta: float, nu: float) -> tuple[float, float]:
     check_unit_interval("nu", nu)
     alpha = (1.0 - nu) / 2.0 + nu * math.cos(theta) ** 2
     row = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
-    beta = 1.0 - average_fidelity(row, nu)
+    beta = 1.0 - average_fidelity(unit_norm_weights(row, "bit seal"), nu)
     return alpha, beta

@@ -30,8 +30,8 @@ from .errors import UsageError, check_dim, check_unit_interval, unit_norm_weight
 
 
 @dataclass(frozen=True)
-class AttackCoefficients:
-    """Coefficients (a, b) of the measurement family at a given nu."""
+class MeasurementFamily:
+    """The N structured operators a*I + b*|i><i| for one nu."""
 
     nu: float
     dim: int
@@ -39,7 +39,8 @@ class AttackCoefficients:
     b: float
 
     @classmethod
-    def from_nu(cls, dim: int, nu: float) -> "AttackCoefficients":
+    def from_nu(cls, dim: int, nu: float) -> "MeasurementFamily":
+        """The family's coefficients at read strength nu (no dimension cap)."""
         if dim < 2:
             raise UsageError(f"dimension must be at least 2, got {dim}")
         check_unit_interval("nu", nu)
@@ -47,27 +48,12 @@ class AttackCoefficients:
         b = math.sqrt((1.0 - nu) / dim + nu) - a
         return cls(nu=float(nu), dim=dim, a=a, b=b)
 
-
-@dataclass(frozen=True)
-class MeasurementFamily:
-    """The N structured operators a*I + b*|i><i| for one nu."""
-
-    coeffs: AttackCoefficients
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.dim
-
-    @property
-    def nu(self) -> float:
-        return self.coeffs.nu
-
     def operator(self, index: int) -> np.ndarray:
         """Dense N x N complex expansion of the operator targeting basis state index."""
         if not 0 <= index < self.dim:
             raise UsageError(f"operator index {index} out of range")
-        entries = self.coeffs.a * np.eye(self.dim, dtype=complex)
-        entries[index, index] += self.coeffs.b
+        entries = self.a * np.eye(self.dim, dtype=complex)
+        entries[index, index] += self.b
         return entries
 
     def outcome_probabilities(self, weights: np.ndarray) -> np.ndarray:
@@ -78,7 +64,7 @@ class MeasurementFamily:
         """
         if weights.shape != (self.dim,):
             raise UsageError(f"dimension mismatch: family {self.dim}, weights {weights.shape}")
-        a, b = self.coeffs.a, self.coeffs.b
+        a, b = self.a, self.b
         return a * a + (2.0 * a * b + b * b) * weights
 
     def completeness_deviation(self) -> float:
@@ -96,26 +82,27 @@ class MeasurementFamily:
                 q = self.operator(i)
                 total += q.conj().T @ q
             return float(np.max(np.abs(total - np.eye(n))))
-        a, b = self.coeffs.a, self.coeffs.b
+        a, b = self.a, self.b
         return abs(n * a * a + (2.0 * a * b + b * b) - 1.0)
 
 
 def measurement_family(n: int, nu: float) -> MeasurementFamily:
     """Build the complete N-operator family at read strength nu."""
     check_dim(n)
-    return MeasurementFamily(AttackCoefficients.from_nu(n, nu))
+    return MeasurementFamily.from_nu(n, nu)
 
 
-def coin_toss_probabilities(amplitude_row, read_probability: float) -> np.ndarray:
+def coin_toss_probabilities(weights, read_probability: float) -> np.ndarray:
     """Analytic decode distribution of the coin-toss strategy.
 
-    Summing the two branches: q * |c_i|^2 from the honest measurement
-    plus (1-q)/N from the uniform idle guess.  A stack of amplitude rows
-    (N along the last axis) gives one distribution per row.
+    Summing the two branches: q * w_i from the honest measurement, w the
+    weights |c|^2 of the sealed row, plus (1-q)/N from the uniform idle
+    guess.  A stack of weight rows (N along the last axis) gives one
+    distribution per row.
     """
     q = check_unit_interval("read probability", read_probability)
-    row = np.asarray(amplitude_row, dtype=complex)
-    return q * unit_norm_weights(row, "amplitude row") + (1.0 - q) / row.shape[-1]
+    weights = np.asarray(weights, dtype=float)
+    return q * weights + (1.0 - q) / weights.shape[-1]
 
 
 def coin_toss_escape_probability(amplitude_row, read_probability: float) -> float | np.ndarray:

@@ -18,7 +18,6 @@ from functools import cache
 import numpy as np
 
 from .analysis import (
-    FLOOR_ATOL,
     average_fidelity,
     bit_seal_point,
     decode_matrix,
@@ -32,7 +31,7 @@ from .attacks import (
     coin_toss_probabilities,
     measurement_family,
 )
-from .errors import ResourceError
+from .errors import ResourceError, unit_norm_weights
 from .montecarlo import (
     GENERATOR_NAME,
     CoinTossStrategy,
@@ -45,6 +44,7 @@ from .montecarlo import (
 from .seals import OverlapMatrix, ProductSealSpec, overlap_matrix, product_seal, product_states
 
 EXACT_ATOL = 1e-12
+FLOOR_ATOL = 1e-15
 
 THETA_GRID = (0.0, math.pi / 12, math.pi / 6, math.pi / 4)
 THETA_GRID_LABEL = "{0, pi/12, pi/6, pi/4}"
@@ -114,6 +114,7 @@ def _decode_closed_form_gap(seed: int) -> float:
     worst = 0.0
     for n in (2, 4, 16):
         rows = _random_unit_rows(seed, n, 100)
+        weights = unit_norm_weights(rows, "random rows")
         for nu in NU_GRID_FINE:
             family = measurement_family(n, nu)
             ops = np.stack([family.operator(i) for i in range(n)])
@@ -122,7 +123,7 @@ def _decode_closed_form_gap(seed: int) -> float:
             # bit for bit
             raw = rows @ ops.transpose(0, 2, 1)
             dense = np.sum(np.abs(raw) ** 2, axis=-1).T
-            closed = decode_probabilities(rows, nu)
+            closed = decode_probabilities(weights, nu)
             worst = max(worst, float(np.max(np.abs(dense - closed))))
     return worst
 
@@ -145,9 +146,8 @@ def check_decode_floor() -> ClaimResult:
     """At nu = 1/2 every decode entry is at least 1/(2N)."""
     worst_margin = float("inf")
     for m, theta, om in seal_suite():
-        dm = decode_matrix(om, 0.5)
         floor = 1.0 / (2.0 * om.dim)
-        margin = float(np.min(dm.probabilities)) - floor
+        margin = float(np.min(decode_matrix(om, 0.5))) - floor
         worst_margin = min(worst_margin, margin)
     return ClaimResult(
         number=3,
@@ -165,7 +165,7 @@ def check_flat_posterior() -> ClaimResult:
     """At nu = 1/2 half the posterior is flat for every decoded value."""
     worst = 0.0
     for m, theta, om in seal_suite():
-        masses = flat_posterior_masses(decode_matrix(om, 0.5))
+        masses = flat_posterior_masses(decode_matrix(om, 0.5), 0.5)
         worst = max(worst, float(np.max(np.abs(masses - 0.5))))
     return ClaimResult(
         number=4,
@@ -195,7 +195,7 @@ def check_escape_floor(seed: int, trials: int) -> ClaimResult:
     details.append(f"min message-averaged fidelity = {_fmt(worst)} (analytic, >= 0.5)")
 
     for spec in MC_FIXTURES:
-        analytic = average_fidelity(product_seal(spec), 0.5)
+        analytic = average_fidelity(unit_norm_weights(product_seal(spec), "sealed row"), 0.5)
         config = ExperimentConfig(
             seal=spec, strategy=FamilyStrategy(nu=0.5), trials=trials, seed=seed
         )
@@ -224,17 +224,17 @@ def check_fidelity_collapse(seed: int) -> ClaimResult:
 
     worst = 0.0
     for n in (2, 4, 16):
-        for row in _random_unit_rows(seed, n, 50):
+        rows = _random_unit_rows(seed, n, 50)
+        for row, weights in zip(rows, unit_norm_weights(rows, "random rows")):
             quartic = float(np.sum(np.abs(row) ** 4))
-            worst = max(worst, abs(average_fidelity(row, 1.0) - quartic))
+            worst = max(worst, abs(average_fidelity(weights, 1.0) - quartic))
     passed &= worst <= EXACT_ATOL
     details.append(f"max |fidelity - sum |c|^4| = {_fmt(worst)} on random rows")
 
     for m in (1, 4, 10):
         n = 2**m
         spec = ProductSealSpec.shared_theta("0" * m, math.pi / 4)
-        row = product_seal(spec)
-        value = average_fidelity(row, 1.0)
+        value = average_fidelity(unit_norm_weights(product_seal(spec), "sealed row"), 1.0)
         ok = abs(value - 1.0 / n) <= EXACT_ATOL
         passed &= ok
         details.append(
@@ -257,8 +257,8 @@ def check_coin_toss_equivalence(seed: int, trials: int) -> ClaimResult:
 
     exact = all(
         np.array_equal(
-            coin_toss_probabilities(om.coefficients, q),
-            decode_probabilities(om.coefficients, q),
+            coin_toss_probabilities(om.weights, q),
+            decode_probabilities(om.weights, q),
         )
         for m, theta, om in seal_suite(max_bits=4)
         for q in (0.25, 0.5, 0.9)
@@ -271,7 +271,8 @@ def check_coin_toss_equivalence(seed: int, trials: int) -> ClaimResult:
 
     spec = ProductSealSpec.shared_theta("0", math.pi / 6)
     row = product_seal(spec)
-    expected = decode_probabilities(row, 0.5)
+    weights = unit_norm_weights(row, "sealed row")
+    expected = decode_probabilities(weights, 0.5)
     for label, strategy in (
         ("family nu=1/2", FamilyStrategy(nu=0.5)),
         ("coin q=1/2", CoinTossStrategy(q=0.5)),
@@ -288,7 +289,7 @@ def check_coin_toss_equivalence(seed: int, trials: int) -> ClaimResult:
     # ensembles differ, so escape probabilities are shown side by side
     # without any equality assertion
     details.append(
-        f"escape probabilities differ by design: family {average_fidelity(row, 0.5):.6f}, "
+        f"escape probabilities differ by design: family {average_fidelity(weights, 0.5):.6f}, "
         f"coin {coin_toss_escape_probability(row, 0.5):.6f}"
     )
     return ClaimResult(

@@ -9,6 +9,7 @@ decimal separator and LF line endings.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -16,16 +17,10 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .analysis import (
-    DecodeMatrix,
-    average_fidelity,
-    decode_matrix,
-    decode_probabilities,
-    tradeoff_sweep,
-)
+from .analysis import average_fidelity, decode_matrix, decode_probabilities, tradeoff_sweep
 from .attacks import coin_toss_escape_probability, coin_toss_probabilities
 from .claims import format_report, run_claims
-from .errors import ResourceError, UsageError, ValidationError
+from .errors import ResourceError, UsageError, ValidationError, unit_norm_weights
 from .montecarlo import (
     CoinTossStrategy,
     ExperimentConfig,
@@ -107,10 +102,6 @@ def _parse_grid(text: str) -> list[float]:
         raise UsageError(f"could not parse grid {text!r}") from exc
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    _emit_parts((text,), out_path)
-
-
 def _emit_parts(parts: Iterable[str], out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.writelines(parts)
@@ -128,61 +119,41 @@ def _json_float_list(values: list[float], indent: int) -> str:
     return "[" + pad + ("," + pad).join(map(repr, values)) + "\n" + " " * indent + "]"
 
 
-def _decode_matrix_json(dm: DecodeMatrix) -> Iterator[str]:
+def _decode_matrix_json(probs: np.ndarray, nu: float) -> Iterator[str]:
     """The text of json.dumps(payload, indent=2), one matrix row at a time."""
-    yield f'{{\n  "dim": {dm.dim},\n  "nu": {dm.nu!r},\n  "probabilities": [\n    '
-    for i, row in enumerate(dm.probabilities):
+    yield f'{{\n  "dim": {len(probs)},\n  "nu": {nu!r},\n  "probabilities": [\n    '
+    for i, row in enumerate(probs):
         yield ("" if i == 0 else ",\n    ") + _json_float_list(row.tolist(), 4)
-    row_sums = _json_float_list(dm.probabilities.sum(axis=1).tolist(), 2)
+    row_sums = _json_float_list(probs.sum(axis=1).tolist(), 2)
     yield f'\n  ],\n  "row_sums": {row_sums}\n}}\n'
 
 
-def _decode_matrix_csv(dm: DecodeMatrix) -> Iterator[str]:
+def _decode_matrix_csv(probs: np.ndarray) -> Iterator[str]:
     """The CSV lines of the decode matrix, one matrix row at a time."""
-    yield ",".join(f"p{i}" for i in range(dm.dim)) + ",row_sum\n"
-    for row in dm.probabilities:
+    yield ",".join(f"p{i}" for i in range(len(probs))) + ",row_sum\n"
+    for row in probs:
         yield ",".join(map(_sig, row.tolist())) + "," + _sig(row.sum()) + "\n"
 
 
 def _cmd_decode_matrix(args) -> int:
-    om = _overlaps_from_args(args)
-    dm = decode_matrix(om, args.nu)
-    stream = _decode_matrix_json if args.format == "json" else _decode_matrix_csv
-    _emit_parts(stream(dm), args.out)
+    probs = decode_matrix(_overlaps_from_args(args), args.nu)
+    if args.format == "json":
+        _emit_parts(_decode_matrix_json(probs, args.nu), args.out)
+    else:
+        _emit_parts(_decode_matrix_csv(probs), args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    om = _overlaps_from_args(args)
-    points = tradeoff_sweep(om, _parse_grid(args.grid))
+    points = tradeoff_sweep(_overlaps_from_args(args), _parse_grid(args.grid))
+    # one column per TradeoffPoint field, in field order
+    columns = ("nu", "mi_bits", "guess_prob", "escape_prob", "flat_mass")
+    rows = [dataclasses.astuple(p) for p in points]
     if args.format == "json":
-        payload = [
-            {
-                "nu": p.nu,
-                "mi_bits": p.mutual_information,
-                "guess_prob": p.guess_probability,
-                "escape_prob": p.escape_probability,
-                "flat_mass": p.flat_mass,
-            }
-            for p in points
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
-    lines = ["nu,mi_bits,guess_prob,escape_prob,flat_mass"]
-    for p in points:
-        lines.append(
-            ",".join(
-                _sig(v)
-                for v in (
-                    p.nu,
-                    p.mutual_information,
-                    p.guess_probability,
-                    p.escape_probability,
-                    p.flat_mass,
-                )
-            )
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+        text = json.dumps([dict(zip(columns, row)) for row in rows], indent=2)
+    else:
+        text = "\n".join([",".join(columns)] + [",".join(map(_sig, row)) for row in rows])
+    _emit_parts((text, "\n"), args.out)
     return 0
 
 
@@ -202,12 +173,13 @@ def _cmd_mc_validate(args) -> int:
 
     config = ExperimentConfig(seal=seal, strategy=strategy, trials=args.trials, seed=args.seed)
     sealed_row = config.sealed_row()
+    weights = unit_norm_weights(sealed_row, "sealed state")
 
     if isinstance(strategy, FamilyStrategy):
-        expected = decode_probabilities(sealed_row, strategy.nu)
-        escape = average_fidelity(sealed_row, strategy.nu)
+        expected = decode_probabilities(weights, strategy.nu)
+        escape = average_fidelity(weights, strategy.nu)
     else:
-        expected = coin_toss_probabilities(sealed_row, strategy.q)
+        expected = coin_toss_probabilities(weights, strategy.q)
         escape = coin_toss_escape_probability(sealed_row, strategy.q)
 
     stats = run_experiment(config)
@@ -228,13 +200,13 @@ def _cmd_mc_validate(args) -> int:
             "pass": escape_ok,
         },
     }
-    _emit(json.dumps(record, indent=2) + "\n", args.out)
+    _emit_parts((json.dumps(record, indent=2), "\n"), args.out)
     return 0 if (chi_ok and escape_ok) else 1
 
 
 def _cmd_claims(args) -> int:
     results = run_claims(seed=args.seed, trials=args.trials)
-    _emit(format_report(results, args.seed, args.trials), args.out)
+    _emit_parts((format_report(results, args.seed, args.trials),), args.out)
     return 0 if all(r.passed for r in results) else 1
 
 

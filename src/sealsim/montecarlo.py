@@ -183,7 +183,7 @@ def _family_tables(
     the sealed state c is (a + b |c_i|^2)^2 / p_i; an outcome that never
     occurs (p_i = 0) never passes.
     """
-    a, b = family.coeffs.a, family.coeffs.b
+    a, b = family.a, family.b
     probs = family.outcome_probabilities(weights)
     live = probs > 0.0
     pass_probs = np.zeros(family.dim)
@@ -237,8 +237,10 @@ def chi_square_check(stats: EmpiricalStats, expected) -> tuple[float, bool]:
 
     Passes when the statistic is below the 99.9th percentile of the
     chi-square distribution with K-1 degrees of freedom, K being the
-    number of cells with positive expected probability.  A nonzero count
-    in a zero-probability cell fails outright; a single live cell passes.
+    number of cells with positive expected probability: exactly when its
+    upper tail Q(df/2, statistic/2) exceeds 1 - CHI_SQUARE_LEVEL.  A
+    nonzero count in a zero-probability cell fails outright; a single
+    live cell, or a statistic of 0, passes without a tail probability.
     """
     expected = np.asarray(expected, dtype=float)
     if expected.shape != stats.decode_counts.shape:
@@ -256,7 +258,11 @@ def chi_square_check(stats: EmpiricalStats, expected) -> tuple[float, bool]:
     expected_counts = expected[live] * stats.trials
     statistic = float(np.sum((counts[live] - expected_counts) ** 2 / expected_counts))
     df = expected_counts.size - 1
-    return statistic, df == 0 or statistic < _chi_square_critical(df)
+    if df == 0 or statistic == 0.0:
+        return statistic, True
+    if statistic == math.inf:  # overflowed: Q(a, inf) = 0, which _upper_gamma cannot reach
+        return statistic, False
+    return statistic, _upper_gamma(df / 2, statistic / 2) > 1.0 - CHI_SQUARE_LEVEL
 
 
 _EPS = 2.0**-53
@@ -296,35 +302,6 @@ def _upper_gamma(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) <= _EPS:
             return h * prefactor
-
-
-def _chi_square_critical(df: int) -> float:
-    """CHI_SQUARE_LEVEL quantile of chi-square with df degrees of freedom.
-
-    Solves Q(df/2, x) = 1 - CHI_SQUARE_LEVEL for x by Halley steps from
-    the Wilson-Hilferty approximation and returns 2x.  Within 1e-12
-    relative of scipy.stats.chi2.ppf (tested for df 1..4095, 8191 and
-    65535); scipy is not needed at run time.
-    """
-    from statistics import NormalDist  # here, off the import path of every command
-
-    a = df / 2
-    tail = 1.0 - CHI_SQUARE_LEVEL
-    z = NormalDist().inv_cdf(CHI_SQUARE_LEVEL)
-    s = 2.0 / (9.0 * df)
-    x = a * (1.0 - s + z * math.sqrt(s)) ** 3
-    for _ in range(100):
-        f = _upper_gamma(a, x) - tail
-        # dQ/dx = -x^(a-1) e^-x / Gamma(a); (d2Q/dx2) / (dQ/dx) = (a-1)/x - 1
-        slope = -math.exp((a - 1.0) * math.log(x) - x - math.lgamma(a))
-        t = f / slope
-        step = t / (1.0 - 0.5 * min(1.0, t * ((a - 1.0) / x - 1.0)))
-        x -= step
-        # cubic convergence: after a step this small, x is exact to the
-        # rounding noise of Q itself
-        if abs(step) <= 1e-10 * x:
-            return 2.0 * x
-    raise ArithmeticError(f"chi-square quantile did not converge for df={df}")
 
 
 def stats_record(config: ExperimentConfig, stats: EmpiricalStats) -> dict:

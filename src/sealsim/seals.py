@@ -42,17 +42,25 @@ def _check_angle(theta: float, error: type[ValueError] = ValidationError) -> Non
 
 @dataclass(frozen=True, eq=False)
 class OverlapMatrix:
-    """N x N coefficient matrix; row i' is the sealed state for message i'."""
+    """N x N coefficient matrix; row i' is the sealed state for message i'.
+
+    `weights` holds |c|^2, checked once here to have unit-norm rows; the
+    analysis layer reads it instead of the coefficients.  Both arrays
+    are read-only.
+    """
 
     coefficients: np.ndarray
+    weights: np.ndarray
 
     def __init__(self, coefficients) -> None:
         arr = np.array(coefficients, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"overlap matrix must be square, got {arr.shape}")
-        unit_norm_weights(arr, "overlap matrix")
+        weights = unit_norm_weights(arr, "overlap matrix")
         arr.setflags(write=False)
+        weights.setflags(write=False)
         object.__setattr__(self, "coefficients", arr)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def dim(self) -> int:

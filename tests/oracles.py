@@ -9,9 +9,10 @@ determinism contract is stated against `replay_experiment` and
 `round_block`; the tests assert that `run_experiment` and `draw_chunks`
 reproduce them exactly.
 
-States are plain complex amplitude rows and operators plain N x N
-complex arrays, as in the package.  Every state an oracle takes or makes
-passes `sealsim.errors.unit_norm_weights`, the package's one norm check.
+States are plain complex amplitude rows, operators plain N x N complex
+arrays and decode matrices plain N x N probability arrays, as in the
+package.  Every state an oracle takes or makes passes
+`sealsim.errors.unit_norm_weights`, the package's one norm check.
 
 Everything here is plain and per item on purpose: a loop over rows,
 outcomes or rounds is the point of an oracle, not a cost to remove.
@@ -25,7 +26,6 @@ from typing import Sequence
 
 import numpy as np
 
-from sealsim.analysis import DecodeMatrix
 from sealsim.attacks import MeasurementFamily, _cumulative, _sample_index, measurement_family
 from sealsim.errors import UsageError, check_unit_interval, unit_norm_weights
 from sealsim.montecarlo import (
@@ -105,8 +105,8 @@ def family_apply(
         raise UsageError(f"dimension mismatch: family {family.dim}, state {len(state)}")
     if not 0 <= index < family.dim:
         raise UsageError(f"operator index {index} out of range")
-    raw = family.coeffs.a * state
-    raw[index] += family.coeffs.b * state[index]
+    raw = family.a * state
+    raw[index] += family.b * state[index]
     return _renormalize(raw)
 
 
@@ -164,17 +164,18 @@ def verify_seal(original: np.ndarray, returned: np.ndarray, rng: np.random.Gener
     return bool(rng.random() < fidelity(original, returned))
 
 
-def flat_posterior_mass(dm: DecodeMatrix, decoded: int) -> float:
+def flat_posterior_mass(probs: np.ndarray, nu: float, decoded: int) -> float:
     """(1-nu) / sum_i' p(i', decoded): one column of flat_posterior_masses."""
-    if not 0 <= decoded < dm.dim:
-        raise UsageError(f"decoded value {decoded} out of range for dim {dm.dim}")
-    column_sum = float(np.sum(dm.probabilities[:, decoded]))
+    dim = len(probs)
+    if not 0 <= decoded < dim:
+        raise UsageError(f"decoded value {decoded} out of range for dim {dim}")
+    column_sum = float(np.sum(probs[:, decoded]))
     if column_sum <= 0.0:
         raise UsageError(
             f"decoded value {decoded} has zero marginal probability; "
             "flat posterior mass is undefined"
         )
-    return (1.0 - dm.nu) / column_sum
+    return (1.0 - nu) / column_sum
 
 
 def draw_table(seed: int, trials: int) -> np.ndarray:

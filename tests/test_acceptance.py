@@ -16,6 +16,7 @@ from oracles import apply_and_normalize
 from sealsim import claims
 from sealsim.analysis import decode_probabilities
 from sealsim.attacks import measurement_family
+from sealsim.errors import unit_norm_weights
 
 SEED = 42
 TRIALS = 100_000
@@ -117,7 +118,7 @@ def dense_loop_gap(seed: int) -> float:
         for row in claims._random_unit_rows(seed, n, 100):
             for nu in claims.NU_GRID_FINE:
                 family = measurement_family(n, nu)
-                closed = decode_probabilities(row, nu)
+                closed = decode_probabilities(unit_norm_weights(row, "row"), nu)
                 for i in range(n):
                     prob, _ = apply_and_normalize(family.operator(i), row)
                     worst = max(worst, abs(prob - closed[i]))

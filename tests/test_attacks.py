@@ -5,7 +5,7 @@ import pytest
 
 from oracles import apply_and_normalize, coin_toss_attack, family_apply, fidelity, run_attack
 from sealsim.attacks import (
-    AttackCoefficients,
+    MeasurementFamily,
     coin_toss_escape_probability,
     coin_toss_probabilities,
     measurement_family,
@@ -22,27 +22,33 @@ def random_state(n: int, seed: int) -> np.ndarray:
     return raw / np.linalg.norm(raw)
 
 
-class TestAttackCoefficients:
+class TestFromNu:
     @pytest.mark.parametrize("n", [2, 4, 16, 256])
     @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_defining_identities(self, n, nu):
-        c = AttackCoefficients.from_nu(n, nu)
+        c = MeasurementFamily.from_nu(n, nu)
         assert abs(c.a - math.sqrt((1 - nu) / n)) <= ATOL
         assert abs((c.a + c.b) ** 2 - ((1 - nu) / n + nu)) <= ATOL
         assert c.a >= 0.0 and c.b >= 0.0
 
     def test_nu_half_values(self):
-        c = AttackCoefficients.from_nu(2, 0.5)
+        c = MeasurementFamily.from_nu(2, 0.5)
         assert c.a == pytest.approx(math.sqrt(1 / 4), abs=ATOL)
         assert c.a + c.b == pytest.approx(math.sqrt(1 / 2 + 1 / 4), abs=ATOL)
 
     def test_range_checks(self):
         with pytest.raises(UsageError):
-            AttackCoefficients.from_nu(2, 1.5)
+            MeasurementFamily.from_nu(2, 1.5)
         with pytest.raises(UsageError):
-            AttackCoefficients.from_nu(2, -0.1)
+            MeasurementFamily.from_nu(2, -0.1)
         with pytest.raises(UsageError):
-            AttackCoefficients.from_nu(1, 0.5)
+            MeasurementFamily.from_nu(1, 0.5)
+
+    def test_no_dimension_cap(self, monkeypatch):
+        # the cap belongs to measurement_family, which expands operators
+        monkeypatch.setenv("SEALSIM_MAX_DIM", "8")
+        family = MeasurementFamily.from_nu(16, 0.5)
+        assert (family.dim, family.nu) == (16, 0.5)
 
 
 class TestMeasurementFamily:
@@ -70,7 +76,7 @@ class TestMeasurementFamily:
         # the rounding order of the n-term sum
         for n in (2, 16, 64):
             family = measurement_family(n, 0.3)
-            a, b = family.coeffs.a, family.coeffs.b
+            a, b = family.a, family.b
             diag = np.full(n, n * a * a) + (2 * a * b + b * b)
             manual = float(np.max(np.abs(diag - 1.0)))
             assert abs(family.completeness_deviation() - manual) <= 1e-13
@@ -188,10 +194,10 @@ class TestCoinToss:
         rng = np.random.default_rng(2718)
         for n in (2, 4, 16):
             raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            row = raw / np.linalg.norm(raw)
+            weights = unit_norm_weights(raw / np.linalg.norm(raw), "row")
             for q in (0.0, 0.25, 0.5, 0.9, 1.0):
                 assert np.array_equal(
-                    coin_toss_probabilities(row, q), decode_probabilities(row, q)
+                    coin_toss_probabilities(weights, q), decode_probabilities(weights, q)
                 )
 
     def test_escape_probability_endpoints(self):
@@ -201,8 +207,8 @@ class TestCoinToss:
         assert coin_toss_escape_probability(row, 1.0) == pytest.approx(quartic, abs=ATOL)
 
     def test_non_square_stack_divides_by_the_row_length(self):
-        stack = np.eye(3, 4)
-        probs = coin_toss_probabilities(stack, 0.5)
+        weights = np.eye(3, 4)
+        probs = coin_toss_probabilities(weights, 0.5)
         assert probs.shape == (3, 4)
         assert np.allclose(probs[0], [0.625, 0.125, 0.125, 0.125], atol=ATOL, rtol=0)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=ATOL, rtol=0)
@@ -212,13 +218,11 @@ class TestCoinToss:
         escape = coin_toss_escape_probability(rows, 0.5)
         assert np.array_equal(escape, [coin_toss_escape_probability(r, 0.5) for r in rows])
 
-    @pytest.mark.parametrize(
-        "closed_form", [coin_toss_probabilities, coin_toss_escape_probability]
-    )
+    # coin_toss_probabilities takes weights that unit_norm_weights has checked
     @pytest.mark.parametrize("row", [[1.0, 1.0], [math.nan, 0.0], [[1.0, 0.0], [0.5, 0.5]]])
-    def test_non_unit_rows_are_rejected(self, closed_form, row):
+    def test_non_unit_rows_are_rejected(self, row):
         with pytest.raises(ValidationError):
-            closed_form(row, 0.5)
+            coin_toss_escape_probability(row, 0.5)
 
     def test_empirical_escape_tracks_analytic(self):
         spec = ProductSealSpec.shared_theta("0", math.pi / 6)

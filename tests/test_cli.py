@@ -91,12 +91,12 @@ class TestDecodeMatrix:
             overlaps = load_overlap_matrix(seal[1])
         else:
             overlaps = overlap_matrix(ProductSealSpec.shared_theta(seal[1], float(seal[3])))
-        dm = decode_matrix(overlaps, float(nu))
+        probs = decode_matrix(overlaps, float(nu))
         payload = {
-            "dim": dm.dim,
-            "nu": dm.nu,
-            "probabilities": [[float(p) for p in row] for row in dm.probabilities],
-            "row_sums": [float(s) for s in dm.probabilities.sum(axis=1)],
+            "dim": overlaps.dim,
+            "nu": float(nu),
+            "probabilities": [[float(p) for p in row] for row in probs],
+            "row_sums": [float(s) for s in probs.sum(axis=1)],
         }
         expected = json.dumps(payload, indent=2) + "\n"
         code, out, _ = run_cli(capsys, "decode-matrix", *seal, "--nu", nu, "--format", "json")
@@ -530,15 +530,15 @@ class TestClaims:
     def test_injected_sign_error_fails_completeness(self, capsys, monkeypatch):
         # negative control: flipping the sign of b must break the
         # completeness claim and turn the exit code to 1
-        from sealsim.attacks import AttackCoefficients
+        from sealsim.attacks import MeasurementFamily
 
-        original = AttackCoefficients.from_nu.__func__
+        original = MeasurementFamily.from_nu.__func__
 
         def broken(cls, dim, nu):
-            coeffs = original(cls, dim, nu)
-            return AttackCoefficients(nu=coeffs.nu, dim=coeffs.dim, a=coeffs.a, b=-coeffs.b)
+            family = original(cls, dim, nu)
+            return MeasurementFamily(nu=family.nu, dim=family.dim, a=family.a, b=-family.b)
 
-        monkeypatch.setattr(AttackCoefficients, "from_nu", classmethod(broken))
+        monkeypatch.setattr(MeasurementFamily, "from_nu", classmethod(broken))
         code, out, _ = run_cli(capsys, "claims", "--seed", "1", "--trials", "50")
         assert code == 1
         completeness_line = next(

@@ -19,7 +19,7 @@ from sealsim.montecarlo import (
     ExperimentConfig,
     ExplicitSealSpec,
     FamilyStrategy,
-    _chi_square_critical,
+    _upper_gamma,
     chi_square_check,
     draw_chunks,
     run_experiment,
@@ -136,8 +136,8 @@ class TestRunExperiment:
         sigma = math.sqrt(5 / 8 * 3 / 8 / stats.trials)
         assert abs(stats.decode_counts[0] / stats.trials - 5 / 8) <= 3 * sigma
 
-        row = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)])
-        escape = average_fidelity(row, 0.5)
+        weights = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)]) ** 2
+        escape = average_fidelity(weights, 0.5)
         sigma_pass = math.sqrt(escape * (1 - escape) / stats.trials)
         assert abs(stats.pass_count / stats.trials - escape) <= 3 * sigma_pass
 
@@ -155,7 +155,7 @@ class TestRunExperiment:
         config = ExperimentConfig(seal=PI6_SPEC, strategy=CoinTossStrategy(0.5), trials=50_000, seed=8)
         stats = run_experiment(config)
         expected = decode_probabilities(
-            np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)]), 0.5
+            np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)]) ** 2, 0.5
         )
         _, ok = chi_square_check(stats, expected)
         assert ok
@@ -282,28 +282,42 @@ class TestChiSquare:
         statistic, ok = chi_square_check(stats, expected)
         assert statistic == pytest.approx(256.0) and not ok
 
-    def test_single_live_cell_passes_without_a_quantile(self, monkeypatch):
-        import sealsim.montecarlo as mc
+    def test_single_live_cell_passes_without_a_tail_probability(self, monkeypatch):
+        def no_tail(a, x):
+            raise AssertionError(f"tail probability computed at a={a}, x={x}")
 
-        def no_quantile(df):
-            raise AssertionError(f"quantile called with df={df}")
-
-        monkeypatch.setattr(mc, "_chi_square_critical", no_quantile)
+        monkeypatch.setattr(mc, "_upper_gamma", no_tail)
         stats = EmpiricalStats(decode_counts=[0, 1000, 0], pass_count=0, trials=1000)
         statistic, ok = chi_square_check(stats, [0.0, 1.0, 0.0])
         assert statistic == 0.0 and ok
 
-    def test_critical_value_matches_scipy_within_tolerance(self):
+    def test_zero_statistic_passes_without_a_tail_probability(self, monkeypatch):
+        # Q(a, x) takes log(x), so x = 0 must not reach it
+        def no_tail(a, x):
+            raise AssertionError(f"tail probability computed at a={a}, x={x}")
+
+        monkeypatch.setattr(mc, "_upper_gamma", no_tail)
+        stats = EmpiricalStats(decode_counts=[500, 500], pass_count=0, trials=1000)
+        assert chi_square_check(stats, [0.5, 0.5]) == (0.0, True)
+
+    def test_overflowed_statistic_fails(self):
+        # a count in a cell of subnormal probability overflows the statistic
+        stats = EmpiricalStats(decode_counts=[1, 999], pass_count=0, trials=1000)
+        with np.errstate(over="ignore"):
+            assert chi_square_check(stats, [5e-324, 1.0]) == (math.inf, False)
+
+    def test_tail_probability_matches_scipy_at_the_critical_values(self):
         # every df a histogram under the default dimension cap can have,
         # plus two beyond it for a raised SEALSIM_MAX_DIM
         from scipy.stats import chi2
 
         dfs = list(range(1, DEFAULT_MAX_DIM)) + [8191, 65535]
-        reference = chi2.ppf(CHI_SQUARE_LEVEL, dfs)
+        critical = chi2.ppf(CHI_SQUARE_LEVEL, dfs)
+        reference = chi2.sf(critical, dfs)
         off = [
-            (df, _chi_square_critical(df), float(ref))
-            for df, ref in zip(dfs, reference)
-            if not abs(_chi_square_critical(df) - ref) <= 1e-12 * ref
+            (df, _upper_gamma(df / 2, x / 2), float(ref))
+            for df, x, ref in zip(dfs, critical, reference)
+            if not abs(_upper_gamma(df / 2, x / 2) - ref) <= 1e-10 * ref
         ]
         assert off == []
 

@@ -2,10 +2,11 @@
 
 The dense and round-by-round forms that no command runs live in
 `tests/oracles.py`.  These tests pin `sealsim.__all__` and check that
-those forms, and the state and operator wrapper types a sealed row
-replaced, stay out of the runtime modules.
+those forms, and the wrapper types and helpers that plain arrays and
+checked weights replaced, stay out of the runtime modules.
 """
 
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -19,10 +20,8 @@ import sealsim
 from sealsim.seals import ProductSealSpec, product_seal, product_states
 
 PUBLIC = [
-    "AttackCoefficients",
     "ClaimResult",
     "CoinTossStrategy",
-    "DecodeMatrix",
     "EmpiricalStats",
     "ExperimentConfig",
     "ExplicitSealSpec",
@@ -76,12 +75,18 @@ MOVED_TO_ORACLES = [
 
 RUNTIME_MODULES = ("analysis", "attacks", "claims", "cli", "errors", "montecarlo", "seals")
 
-# a sealed state is a plain amplitude row and an operator a plain array
+# a sealed state is a plain amplitude row, an operator and a decode
+# matrix plain arrays, and the analysis layer reads weights checked once
 REMOVED = [
     ("linalg", "StateVector"),
     ("linalg", "DenseOperator"),
     ("seals", "SealedState"),
     ("seals", "seal_from_overlaps"),
+    ("analysis", "DecodeMatrix"),
+    ("analysis", "_decode_rows"),
+    ("analysis", "_average_fidelities"),
+    ("attacks", "AttackCoefficients"),
+    ("montecarlo", "_chi_square_critical"),
 ]
 
 MOVED_METHODS = [
@@ -92,7 +97,7 @@ MOVED_METHODS = [
 
 def test_all_is_the_pruned_list():
     assert sealsim.__all__ == PUBLIC
-    assert len(PUBLIC) == 36
+    assert len(PUBLIC) == 34
 
 
 def test_every_listed_name_imports():
@@ -123,6 +128,30 @@ def test_product_seal_is_the_read_only_product_states_row():
     assert isinstance(row, np.ndarray) and row.ndim == 1 and row.dtype == complex
     assert not row.flags.writeable
     assert row.tobytes() == product_states(spec.thetas, [spec.message])[0].tobytes()
+
+
+def test_overlap_weights_are_the_read_only_squared_moduli():
+    om = sealsim.load_overlap_matrix(Path(__file__).parent / "data" / "random16.json")
+    assert not om.weights.flags.writeable and not om.coefficients.flags.writeable
+    assert np.array_equal(om.weights, np.abs(om.coefficients) ** 2)
+    with pytest.raises(ValueError):
+        om.weights[0, 0] = 1.0
+
+
+def test_decode_matrix_is_a_read_only_array():
+    om = sealsim.overlap_matrix(ProductSealSpec.shared_theta("011", 0.4))
+    probs = sealsim.decode_matrix(om, 0.5)
+    assert type(probs) is np.ndarray and probs.shape == (8, 8) and probs.dtype == float
+    assert np.array_equal(probs, sealsim.decode_probabilities(om.weights, 0.5))
+    assert not probs.flags.writeable
+    with pytest.raises(ValueError):
+        probs[0, 0] = 1.0
+
+
+def test_measurement_family_holds_its_coefficients():
+    family = sealsim.measurement_family(4, 0.5)
+    assert [f.name for f in dataclasses.fields(family)] == ["nu", "dim", "a", "b"]
+    assert family == sealsim.MeasurementFamily.from_nu(4, 0.5)
 
 
 @pytest.mark.parametrize("cls, attr", MOVED_METHODS, ids=[".".join(p) for p in MOVED_METHODS])
