@@ -6,8 +6,9 @@ the flat share of the attacker's posterior, Shannon mutual information
 read-strength tradeoff sweep.
 
 Every closed form reads the weights W = |c|^2 of the sealed rows.  They
-are checked once, where amplitudes enter: `OverlapMatrix.weights`, or
-`errors.unit_norm_weights` for rows from anywhere else.  Since each row
+are checked once, where amplitudes enter: `OverlapMatrix`, or
+`errors.unit_norm_weights` for rows from anywhere else; a complex array,
+which can only be amplitudes, is refused as weights.  Since each row
 of W is non-negative and sums to 1 within NORM_ATOL, every decode row
 (1-nu)/N + nu w sums to 1 within that tolerance and stays at or above
 the flat floor (1-nu)/N; nothing here checks them again.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import MeasurementFamily
-from .errors import UsageError, check_unit_interval, unit_norm_weights
+from .errors import UsageError, check_unit_interval, real_weights, unit_norm_weights
 from .seals import OverlapMatrix, _check_angle
 
 
@@ -43,7 +44,7 @@ def decode_probabilities(weights, nu: float) -> np.ndarray:
     distribution per row.
     """
     check_unit_interval("nu", nu)
-    weights = np.asarray(weights, dtype=float)
+    weights = real_weights(weights)
     return (1.0 - nu) / weights.shape[-1] + nu * weights
 
 
@@ -118,7 +119,7 @@ def average_fidelity(weights, nu: float) -> float | np.ndarray:
     weight rows (N along the last axis) gives an array with one fidelity
     per row.
     """
-    weights = np.asarray(weights, dtype=float)
+    weights = real_weights(weights)
     family = MeasurementFamily.from_nu(weights.shape[-1], nu)
     fidelities = (family.a + family.b * weights) ** 2
     average = np.minimum(fidelities.sum(axis=-1), 1.0)
@@ -160,7 +161,8 @@ def tradeoff_sweep(overlaps: OverlapMatrix, nu_grid) -> list[TradeoffPoint]:
         raise UsageError("nu grid must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise UsageError("nu grid must be strictly increasing")
-    return [_tradeoff_point(overlaps.weights, nu) for nu in grid]
+    weights = overlaps.weights
+    return [_tradeoff_point(weights, nu) for nu in grid]
 
 
 def _tradeoff_point(weights: np.ndarray, nu: float) -> TradeoffPoint:

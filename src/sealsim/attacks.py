@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, check_dim, check_unit_interval, unit_norm_weights
+from .errors import UsageError, check_dim, check_unit_interval, real_weights, unit_norm_weights
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def coin_toss_probabilities(weights, read_probability: float) -> np.ndarray:
     distribution per row.
     """
     q = check_unit_interval("read probability", read_probability)
-    weights = np.asarray(weights, dtype=float)
+    weights = real_weights(weights)
     return q * weights + (1.0 - q) / weights.shape[-1]
 
 

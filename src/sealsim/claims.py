@@ -256,11 +256,8 @@ def check_coin_toss_equivalence(seed: int, trials: int) -> ClaimResult:
     passed = True
 
     exact = all(
-        np.array_equal(
-            coin_toss_probabilities(om.weights, q),
-            decode_probabilities(om.weights, q),
-        )
-        for m, theta, om in seal_suite(max_bits=4)
+        np.array_equal(coin_toss_probabilities(weights, q), decode_probabilities(weights, q))
+        for weights in (om.weights for _, _, om in seal_suite(max_bits=4))
         for q in (0.25, 0.5, 0.9)
     )
     passed &= exact

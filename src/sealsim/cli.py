@@ -138,9 +138,10 @@ def _decode_matrix_csv(probs: np.ndarray) -> Iterator[str]:
 def _cmd_decode_matrix(args) -> int:
     probs = decode_matrix(_overlaps_from_args(args), args.nu)
     if args.format == "json":
-        _emit_parts(_decode_matrix_json(probs, args.nu), args.out)
+        stream = _decode_matrix_json(probs, args.nu)
     else:
-        _emit_parts(_decode_matrix_csv(probs), args.out)
+        stream = _decode_matrix_csv(probs)
+    _emit_parts(stream, args.out)
     return 0
 
 

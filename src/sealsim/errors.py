@@ -72,3 +72,14 @@ def unit_norm_weights(amplitudes: np.ndarray, what: str) -> np.ndarray:
             f"(sum |c|^2 = {total.reshape(-1)[rows].tolist()})"
         )
     return weights
+
+
+def real_weights(weights) -> np.ndarray:
+    """Return weights as a float array, refusing a complex (amplitude) array.
+
+    The caller vouches that each row is |c|^2 of a unit-norm row; only the
+    dtype is tested here, so no norm is checked twice.
+    """
+    if np.iscomplexobj(weights):
+        raise UsageError("expected weights |c|^2, got a complex (amplitude) array")
+    return np.asarray(weights, dtype=float)

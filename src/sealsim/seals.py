@@ -44,27 +44,31 @@ def _check_angle(theta: float, error: type[ValueError] = ValidationError) -> Non
 class OverlapMatrix:
     """N x N coefficient matrix; row i' is the sealed state for message i'.
 
-    `weights` holds |c|^2, checked once here to have unit-norm rows; the
-    analysis layer reads it instead of the coefficients.  Both arrays
-    are read-only.
+    The rows are checked once here to be unit-norm; `weights` returns
+    their |c|^2, which the analysis layer reads instead of the
+    coefficients.  Both arrays are read-only.
     """
 
     coefficients: np.ndarray
-    weights: np.ndarray
 
     def __init__(self, coefficients) -> None:
         arr = np.array(coefficients, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"overlap matrix must be square, got {arr.shape}")
-        weights = unit_norm_weights(arr, "overlap matrix")
+        unit_norm_weights(arr, "overlap matrix")
         arr.setflags(write=False)
-        weights.setflags(write=False)
         object.__setattr__(self, "coefficients", arr)
-        object.__setattr__(self, "weights", weights)
 
     @property
     def dim(self) -> int:
         return self.coefficients.shape[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Read-only |c|^2, made on each access so no second N x N array is kept."""
+        weights = np.abs(self.coefficients) ** 2
+        weights.setflags(write=False)
+        return weights
 
     @classmethod
     def identity(cls, dim: int) -> "OverlapMatrix":

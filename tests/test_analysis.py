@@ -76,12 +76,17 @@ class TestDecodeMatrix:
         with pytest.raises(UsageError):
             decode_matrix(pi6_matrix(), 1.1)
 
-    def test_closed_forms_reject_nan_rows(self):
-        # the weights are checked where the amplitudes enter
+    def test_nan_rows_are_stopped_where_the_weights_are_made(self):
+        # decode_probabilities and average_fidelity take weights checked here
         with pytest.raises(ValidationError):
-            decode_probabilities(weights_of([math.nan, 1.0]), 0.5)
-        with pytest.raises(ValidationError):
-            average_fidelity(weights_of([math.nan, 1.0]), 0.5)
+            weights_of([math.nan, 1.0])
+
+    def test_decode_probabilities_refuses_amplitude_rows(self):
+        amplitudes = pi6_matrix().coefficients
+        with pytest.raises(UsageError):
+            decode_probabilities(amplitudes[0], 0.5)
+        with pytest.raises(UsageError):
+            decode_probabilities(amplitudes, 0.5)
 
     def test_decode_probabilities_of_a_stack_match_row_by_row(self):
         weights = overlap_matrix(ProductSealSpec.shared_theta("010", 0.3)).weights
@@ -89,11 +94,11 @@ class TestDecodeMatrix:
         for row, probs in zip(weights, stacked):
             assert np.array_equal(probs, decode_probabilities(row, 0.4))
 
-    def test_decode_probabilities_of_a_stack_reject_any_bad_row(self):
+    def test_a_stack_with_one_bad_row_is_stopped_where_the_weights_are_made(self):
         rows = np.eye(4, dtype=complex)
         rows[2, 2] = math.nan
         with pytest.raises(ValidationError):
-            decode_probabilities(weights_of(rows), 0.5)
+            weights_of(rows)
         with pytest.raises(ValidationError):
             OverlapMatrix(rows)
 
@@ -188,9 +193,16 @@ class TestAverageFidelity:
             row = raw / np.linalg.norm(raw)
             assert average_fidelity(weights_of(row), 0.5) >= 0.5
 
-    def test_row_must_be_unit(self):
+    def test_non_unit_row_is_stopped_where_the_weights_are_made(self):
         with pytest.raises(ValidationError):
-            average_fidelity(weights_of([1.0, 1.0]), 0.5)
+            weights_of([1.0, 1.0])
+
+    def test_refuses_amplitude_rows(self):
+        amplitudes = pi6_matrix().coefficients
+        with pytest.raises(UsageError):
+            average_fidelity(amplitudes[0], 0.5)
+        with pytest.raises(UsageError):
+            average_fidelity(amplitudes, 0.5)
 
     def test_nu_out_of_range(self):
         with pytest.raises(UsageError):

@@ -218,11 +218,20 @@ class TestCoinToss:
         escape = coin_toss_escape_probability(rows, 0.5)
         assert np.array_equal(escape, [coin_toss_escape_probability(r, 0.5) for r in rows])
 
-    # coin_toss_probabilities takes weights that unit_norm_weights has checked
+    @pytest.mark.parametrize(
+        "closed_form", [coin_toss_probabilities, coin_toss_escape_probability]
+    )
     @pytest.mark.parametrize("row", [[1.0, 1.0], [math.nan, 0.0], [[1.0, 0.0], [0.5, 0.5]]])
-    def test_non_unit_rows_are_rejected(self, row):
-        with pytest.raises(ValidationError):
-            coin_toss_escape_probability(row, 0.5)
+    def test_non_unit_rows_are_rejected(self, closed_form, row):
+        # coin_toss_probabilities takes weights, so it refuses amplitudes
+        # outright; coin_toss_escape_probability checks their norms
+        error = UsageError if closed_form is coin_toss_probabilities else ValidationError
+        with pytest.raises(error):
+            closed_form(np.asarray(row, dtype=complex), 0.5)
+
+    def test_probabilities_refuse_unit_amplitude_rows(self):
+        with pytest.raises(UsageError):
+            coin_toss_probabilities(random_state(4, 31), 0.5)
 
     def test_empirical_escape_tracks_analytic(self):
         spec = ProductSealSpec.shared_theta("0", math.pi / 6)

@@ -136,6 +136,8 @@ def test_overlap_weights_are_the_read_only_squared_moduli():
     assert np.array_equal(om.weights, np.abs(om.coefficients) ** 2)
     with pytest.raises(ValueError):
         om.weights[0, 0] = 1.0
+    # the weights are made on access, not kept beside the coefficients
+    assert [f.name for f in dataclasses.fields(om)] == ["coefficients"]
 
 
 def test_decode_matrix_is_a_read_only_array():
