@@ -129,10 +129,15 @@ def _decode_matrix_json(probs: np.ndarray, nu: float) -> Iterator[str]:
 
 
 def _decode_matrix_csv(probs: np.ndarray) -> Iterator[str]:
-    """The CSV lines of the decode matrix, one matrix row at a time."""
+    """The CSV lines of the decode matrix, one matrix row at a time.
+
+    "%.12g" % x is the text _sig(x) gives; one format string per matrix
+    formats a whole row and its sum in a single operation.
+    """
     yield ",".join(f"p{i}" for i in range(len(probs))) + ",row_sum\n"
+    line = ",".join(["%.12g"] * (probs.shape[1] + 1)) + "\n"
     for row in probs:
-        yield ",".join(map(_sig, row.tolist())) + "," + _sig(row.sum()) + "\n"
+        yield line % (*row.tolist(), row.sum())
 
 
 def _cmd_decode_matrix(args) -> int:

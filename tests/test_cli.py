@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sealsim.analysis import decode_matrix
-from sealsim.cli import main
+from sealsim.cli import _decode_matrix_csv, _sig, main
 from sealsim.seals import (
     OverlapMatrix,
     ProductSealSpec,
@@ -110,6 +110,22 @@ class TestDecodeMatrix:
         code, out, _ = run_cli(capsys, *argv, "--out", str(path))
         assert code == 0 and out == ""
         assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("kind", ["uniform", "wide-exponents", "special-values"])
+    def test_csv_text_is_the_per_value_sig_text(self, kind):
+        rng = np.random.default_rng(12)
+        if kind == "uniform":
+            probs = rng.random((24, 24))
+        elif kind == "wide-exponents":
+            probs = rng.choice([-1.0, 1.0], (24, 24)) * 10.0 ** rng.uniform(-323, 308, (24, 24))
+        else:
+            special = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1 / 3, 1.0,
+                       math.inf, math.nan]
+            # every rotation, so each value sits in every column and some rows sum to inf or nan
+            probs = np.array([np.roll(special, k) for k in range(len(special))])
+        expected = [",".join(f"p{i}" for i in range(len(probs))) + ",row_sum\n"]
+        expected += [",".join(map(_sig, row.tolist())) + "," + _sig(row.sum()) + "\n" for row in probs]
+        assert list(_decode_matrix_csv(probs)) == expected
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "dm.csv"
@@ -388,10 +404,13 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 assert not scipy_modules(), scipy_modules()
+# only the overlap-matrix cache uses hashlib, and imports it when a file is loaded
+assert "hashlib" not in sys.modules
 main(["sweep", "--bits", "010", "--theta", "0.3"])
 main(["decode-matrix", "--bits", "010", "--theta", "0.3", "--nu", "0.5"])
 main(["decode-matrix", "--bits", "010", "--theta", "0.3", "--nu", "0.5", "--format", "json"])
 assert not scipy_modules(), scipy_modules()
+assert "hashlib" not in sys.modules
 main(["claims", "--trials", "1000"])
 main(["mc-validate", "--bits", "01", "--theta", "0.3", "--nu", "0.5", "--trials", "1000"])
 main(["mc-validate", "--bits", "01", "--theta", "0.3", "--coin-q", "0.5", "--trials", "1000"])

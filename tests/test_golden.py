@@ -77,12 +77,22 @@ def test_every_command_is_pinned(golden):
 
 
 @pytest.mark.parametrize("command", COMMANDS, ids=_key)
-def test_stdout_and_exit_code_match(capsys, golden, command):
-    code = main(_argv(command))
-    out = capsys.readouterr().out
+def test_stdout_and_exit_code_match(capsys, tmp_path, monkeypatch, golden, command):
+    # a --lambda-file command runs cold, with an empty overlap-matrix
+    # cache, then warm, reading the matrix the cold run cached
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     expected = golden[_key(command)]
-    assert code == expected["exit"]
-    assert out == expected["stdout"]
+    loads_a_file = "--lambda-file" in command
+    inodes = set()
+    for run in ("cold", "warm") if loads_a_file else ("cold",):
+        code = main(_argv(command))
+        out = capsys.readouterr().out
+        assert code == expected["exit"], run
+        assert out == expected["stdout"], run
+        if loads_a_file:
+            (entry,) = (tmp_path / "sealsim").iterdir()
+            inodes.add(entry.stat().st_ino)
+    assert len(inodes) <= 1  # a miss in the warm run would have replaced the entry
 
 
 def _record() -> None:
