@@ -9,9 +9,11 @@ decimal separator and LF line endings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -30,7 +32,8 @@ from .montecarlo import (
     run_experiment,
     stats_record,
 )
-from .seals import OverlapMatrix, ProductSealSpec, load_overlap_matrix, overlap_matrix
+from . import seals
+from .seals import OverlapMatrix, ProductSealSpec, overlap_matrix
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 42
@@ -68,13 +71,112 @@ def _product_spec_from_args(args) -> ProductSealSpec:
     return ProductSealSpec.shared_theta(args.bits, args.theta)
 
 
+def _cache_entry(head: bytes, rows: bytes) -> str | None:
+    """Path of the cached matrix for an overlap file read as head and rows.
+
+    The directory is $XDG_CACHE_HOME/sealsim, else ~/.cache/sealsim;
+    None if neither is an absolute path or a keyed source cannot be read.
+    The name is a BLAKE2b digest of the bytes read and of everything
+    that makes the values parsed from them: the source files of the
+    parser and of this cache, and the Python and numpy versions.  So a
+    changed sealsim never reads an entry that another version wrote.
+    """
+    try:
+        # the built-in module, not hashlib, which maps OpenSSL's libcrypto
+        from _blake2 import blake2b
+    except ImportError:
+        from hashlib import blake2b
+
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(root):
+        return None
+    try:
+        sources = []
+        for name in (seals.__file__, __file__):
+            with open(name, "rb") as fh:
+                sources.append(fh.read())
+    except OSError:
+        return None
+    key = blake2b(digest_size=32)
+    for part in (*sources, sys.version.encode(), np.__version__.encode(), head, rows):
+        # each part's length keeps the split between parts out of the collisions
+        key.update(len(part).to_bytes(8, "little"))
+        key.update(part)
+    return os.path.join(root, "sealsim", key.hexdigest() + ".npy")
+
+
+def _read_entry(entry: str, dim: int) -> OverlapMatrix | None:
+    """The cached matrix, or None unless entry is a dim x dim complex128 .npy of unit rows.
+
+    The header is checked before any data is read, so a corrupt entry
+    cannot make the loader allocate more than the matrix it expects.
+    """
+    try:
+        with open(entry, "rb") as fh:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                return None
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            if shape != (dim, dim) or fortran_order or dtype != np.complex128:
+                return None
+            # one byte more than the matrix, so that a long entry fails the reshape too
+            data = fh.read(16 * dim * dim + 1)
+        return OverlapMatrix(np.frombuffer(data, dtype=dtype).reshape(dim, dim))
+    except (OSError, ValueError):
+        # missing, unreadable, not a .npy file, or values OverlapMatrix refuses
+        return None
+
+
+def _write_entry(entry: str, coefficients: np.ndarray) -> None:
+    """Cache coefficients at entry, the one file left in its directory.
+
+    The file is written under a temporary name and renamed, so a reader
+    never sees it half written.  If the directory cannot be written the
+    matrix is not cached, silently.
+    """
+    directory, name = os.path.split(entry)
+    temp = f"{entry}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(directory, exist_ok=True)
+        with open(temp, "wb") as fh:
+            np.lib.format.write_array(fh, coefficients, version=(1, 0), allow_pickle=False)
+        os.replace(temp, entry)
+        for other in os.listdir(directory):
+            if other != name:
+                with contextlib.suppress(OSError):
+                    os.unlink(os.path.join(directory, other))
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+
+
+def _load_lambda_file(path) -> OverlapMatrix:
+    """seals.load_overlap_matrix(path), reusing the matrix last loaded from the same bytes.
+
+    A command in a fresh process would otherwise parse the numbers of a
+    file it loaded before again.  "dim" is checked against the cap before
+    the cache is looked at, a cached matrix passes OverlapMatrix's checks
+    like a parsed one, and a matrix is cached only once they accepted it.
+    """
+    dim, head, rows = seals._read_overlap_file(path)
+    # the key hashes these copies, not the file, which may change meanwhile
+    entry = _cache_entry(head, rows)
+    if entry is not None and (cached := _read_entry(entry, dim)) is not None:
+        return cached
+    matrix = seals._parse_overlap_rows(path, dim, rows)
+    if entry is not None:
+        _write_entry(entry, matrix.coefficients)
+    return matrix
+
+
 def _seal_from_args(args) -> ProductSealSpec | OverlapMatrix:
     """Resolve the seal flags to exactly one source: bits or a loaded matrix."""
     if (args.bits is None) == (args.lambda_file is None):
         raise UsageError("pass exactly one seal source: --bits or --lambda-file")
     if args.bits is not None:
         return _product_spec_from_args(args)
-    return load_overlap_matrix(args.lambda_file)
+    return _load_lambda_file(args.lambda_file)
 
 
 def _overlaps_from_args(args) -> OverlapMatrix:

@@ -24,7 +24,6 @@ import contextlib
 import json
 import math
 import mmap
-import os
 from dataclasses import dataclass
 from functools import reduce
 
@@ -194,75 +193,56 @@ def _map_or_read(fh):
         return contextlib.nullcontext(fh.read())
 
 
-# The first bytes hashed into a cache key: change it whenever the schema
-# load_overlap_matrix accepts or the values it parses from a file change.
-_CACHE_FORMAT = b"sealsim overlap-matrix json v1\n"
-
-
-def _cache_entry(head: bytes, rows: bytes) -> str | None:
-    """Path of the cached matrix for a file read as `head` and `rows`.
-
-    The directory is $XDG_CACHE_HOME/sealsim, else ~/.cache/sealsim;
-    None if neither is an absolute path.  The name is the SHA-256 of
-    _CACHE_FORMAT and the bytes.
-    """
-    import hashlib  # here, so that commands that load no file do not import it
-
-    root = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(root):
-        root = os.path.join(os.path.expanduser("~"), ".cache")
-    if not os.path.isabs(root):
-        return None
-    key = hashlib.sha256(_CACHE_FORMAT)
-    # the length keeps the split between head and rows out of the collisions
-    key.update(len(head).to_bytes(8, "little"))
-    key.update(head)
-    key.update(rows)
-    return os.path.join(root, "sealsim", key.hexdigest() + ".npy")
-
-
-def _read_entry(entry: str, dim: int) -> OverlapMatrix | None:
-    """The cached matrix, or None unless entry is a dim x dim complex128 .npy of unit rows.
-
-    The header is checked before any data is read, so a corrupt entry
-    cannot make the loader allocate more than the matrix it expects.
-    """
+@contextlib.contextmanager
+def _malformed_overlap_file(path):
+    """Raise a ValueError or OverflowError from reading path's JSON as ValidationError."""
     try:
-        with open(entry, "rb") as fh:
-            if np.lib.format.read_magic(fh) != (1, 0):
-                return None
-            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-            if shape != (dim, dim) or fortran_order or dtype != np.complex128:
-                return None
-            # one byte more than the matrix, so that a long entry fails the reshape too
-            data = fh.read(16 * dim * dim + 1)
-        return OverlapMatrix(np.frombuffer(data, dtype=dtype).reshape(dim, dim))
-    except (OSError, ValueError):
-        # missing, unreadable, not a .npy file, or values OverlapMatrix refuses
-        return None
+        yield
+    except (ValueError, OverflowError) as exc:
+        # not UTF-8 JSON, wrong keys or 'dim', ragged or non-numeric 'rows'
+        raise ValidationError(f"{path}: malformed overlap file: {exc!r}") from exc
 
 
-def _write_entry(entry: str, coefficients: np.ndarray) -> None:
-    """Cache coefficients at entry, the one file left in its directory.
+def _read_overlap_file(path) -> tuple[int, bytes, bytes]:
+    """An overlap file's dim, checked against the cap, its head and its unparsed "rows".
 
-    The file is written under a temporary name and renamed, so a reader
-    never sees it half written.  If the directory cannot be written the
-    matrix is not cached, silently.
+    The head is the file with "rows" replaced by null, and "rows" the
+    bytes from its opening to its closing bracket; both are copies, so
+    they stay what was read if the file changes afterwards.
     """
-    directory, name = os.path.split(entry)
-    temp = f"{entry}.{os.getpid()}.tmp"
-    try:
-        os.makedirs(directory, exist_ok=True)
-        with open(temp, "wb") as fh:
-            np.lib.format.write_array(fh, coefficients, version=(1, 0), allow_pickle=False)
-        os.replace(temp, entry)
-        for other in os.listdir(directory):
-            if other != name:
-                with contextlib.suppress(OSError):
-                    os.unlink(os.path.join(directory, other))
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.unlink(temp)
+    with _malformed_overlap_file(path), open(path, "rb") as fh, _map_or_read(fh) as text:
+        start, end = text.find(b"["), text.rfind(b"]") + 1
+        if start < 0:
+            raise ValueError("no 'rows' array")
+        # the first '[' opens "rows" and the last ']' closes it: no other
+        # value of a well-formed file holds a bracket
+        head = text[:start] + b"null" + text[end:]
+        pairs = json.loads(head.decode("utf-8"), object_pairs_hook=list)
+        if not isinstance(pairs, list) or sorted(key for key, _ in pairs) != ["dim", "rows"]:
+            raise ValueError("the file must hold one object with exactly the keys 'dim' and 'rows'")
+        fields = dict(pairs)
+        dim = fields["dim"]
+        if fields["rows"] is not None:
+            raise ValueError("'rows' must be an array")
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"'dim' must be an integer >= 1, got {dim!r}")
+        check_dim(dim)
+        return dim, head, text[start:end]
+
+
+def _parse_overlap_rows(path, dim: int, rows: bytes) -> OverlapMatrix:
+    """The overlap matrix whose "rows" _read_overlap_file read from path."""
+    with _malformed_overlap_file(path):
+        skeleton = rows.translate(None, _NUMBER_BYTES)
+        # testing the length first keeps a huge 'dim' from building a huge layout
+        if len(skeleton) != 4 * dim * dim + 2 * dim + 1 or skeleton != _rows_layout(dim):
+            raise ValueError(f"'rows' must be a {dim}x{dim} array of [re, im] pairs")
+        del skeleton
+        # brackets become spaces, so a number cannot run on across one
+        values = json.loads(b"[" + rows.translate(_BRACKETS_TO_SPACES) + b"]")
+        arr = np.array(values, dtype=float).reshape(dim, dim, 2)
+        del values
+    return OverlapMatrix(arr[..., 0] + 1j * arr[..., 1])
 
 
 def load_overlap_matrix(path) -> OverlapMatrix:
@@ -278,55 +258,9 @@ def load_overlap_matrix(path) -> OverlapMatrix:
     with "rows" replaced by null, the brackets and commas of "rows" are
     checked against the N x N x 2 layout, and the bracket-free number
     list is parsed once.
-
-    The matrix last loaded is cached on disk, keyed by the SHA-256 of the
-    format tag _CACHE_FORMAT and the bytes read, and is used for a
-    byte-identical file once "dim" has passed the cap, without parsing
-    "rows" again.  Change _CACHE_FORMAT whenever the accepted schema or
-    the parsed values change.  An entry is written only after
-    OverlapMatrix has accepted the values, and one that cannot be read
-    or is not a unit-norm dim x dim complex128 array is a miss.
     """
-    try:
-        with open(path, "rb") as fh, _map_or_read(fh) as text:
-            start, end = text.find(b"["), text.rfind(b"]") + 1
-            if start < 0:
-                raise ValueError("no 'rows' array")
-            # the first '[' opens "rows" and the last ']' closes it: no other
-            # value of a well-formed file holds a bracket
-            head = text[:start] + b"null" + text[end:]
-            pairs = json.loads(head.decode("utf-8"), object_pairs_hook=list)
-            if not isinstance(pairs, list) or sorted(key for key, _ in pairs) != ["dim", "rows"]:
-                raise ValueError("the file must hold one object with exactly the keys 'dim' and 'rows'")
-            fields = dict(pairs)
-            dim = fields["dim"]
-            if fields["rows"] is not None:
-                raise ValueError("'rows' must be an array")
-            if type(dim) is not int or dim < 1:
-                raise ValueError(f"'dim' must be an integer >= 1, got {dim!r}")
-            check_dim(dim)
-            rows = text[start:end]
-        # the key hashes these copies, not the file, which may change meanwhile
-        entry = _cache_entry(head, rows)
-        if entry is not None and (cached := _read_entry(entry, dim)) is not None:
-            return cached
-        skeleton = rows.translate(None, _NUMBER_BYTES)
-        # testing the length first keeps a huge 'dim' from building a huge layout
-        if len(skeleton) != 4 * dim * dim + 2 * dim + 1 or skeleton != _rows_layout(dim):
-            raise ValueError(f"'rows' must be a {dim}x{dim} array of [re, im] pairs")
-        del skeleton
-        # brackets become spaces, so a number cannot run on across one
-        values = json.loads(b"[" + rows.translate(_BRACKETS_TO_SPACES) + b"]")
-        del rows
-        arr = np.array(values, dtype=float).reshape(dim, dim, 2)
-        del values
-    except (ValueError, OverflowError) as exc:
-        # not UTF-8 JSON, wrong keys or 'dim', ragged or non-numeric 'rows'
-        raise ValidationError(f"{path}: malformed overlap file: {exc!r}") from exc
-    matrix = OverlapMatrix(arr[..., 0] + 1j * arr[..., 1])
-    if entry is not None:
-        _write_entry(entry, matrix.coefficients)
-    return matrix
+    dim, _, rows = _read_overlap_file(path)
+    return _parse_overlap_rows(path, dim, rows)
 
 
 def save_overlap_matrix(matrix: OverlapMatrix, path) -> None:

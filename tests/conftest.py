@@ -1,27 +1,9 @@
-import os
-import shutil
-import tempfile
-
 import pytest
 
-_CACHE_HOME = pytest.StashKey[tuple]()
 
-
-def pytest_configure(config):
-    """Point the overlap-matrix cache, in this process and every CLI child, at a temporary directory.
-
-    A hook rather than a session fixture: some test modules load overlap
-    files while they are collected, before any fixture is set up.
-    """
-    home = tempfile.mkdtemp(prefix="sealsim-cache-home-")
-    config.stash[_CACHE_HOME] = (os.environ.get("XDG_CACHE_HOME"), home)
-    os.environ["XDG_CACHE_HOME"] = home
-
-
-def pytest_unconfigure(config):
-    saved, home = config.stash[_CACHE_HOME]
-    shutil.rmtree(home, ignore_errors=True)
-    if saved is None:
-        del os.environ["XDG_CACHE_HOME"]
-    else:
-        os.environ["XDG_CACHE_HOME"] = saved
+@pytest.fixture(scope="session", autouse=True)
+def overlap_matrix_cache_home(tmp_path_factory):
+    """Point the CLI's overlap-matrix cache, in this process and every CLI child, at a temporary directory."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache-home")))
+        yield

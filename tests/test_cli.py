@@ -1,14 +1,18 @@
 import json
 import math
+import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sealsim import cli, seals
 from sealsim.analysis import decode_matrix
-from sealsim.cli import _decode_matrix_csv, _sig, main
+from sealsim.cli import _decode_matrix_csv, _load_lambda_file, _sig, main
+from sealsim.errors import ResourceError, ValidationError
 from sealsim.seals import (
     OverlapMatrix,
     ProductSealSpec,
@@ -396,6 +400,182 @@ class TestMalformedLambdaFile:
         assert out == ""
 
 
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """An empty cache directory for this test alone."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-home"))
+    return tmp_path / "cache-home" / "sealsim"
+
+
+@pytest.fixture
+def json_loads_calls(monkeypatch):
+    """The number of json.loads calls made so far, as a one-item list."""
+    calls = [0]
+    real = json.loads
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    return calls
+
+
+def entries(cache: Path) -> list[Path]:
+    return sorted(cache.iterdir()) if cache.exists() else []
+
+
+class TestLambdaFileCache:
+    @pytest.mark.parametrize("name", ("random16.json", "sparse16.json", "random64.json", "product"))
+    def test_a_hit_equals_a_miss_bit_for_bit(self, tmp_path, cache, json_loads_calls, name):
+        path = DATA / name
+        if name == "product":
+            path = tmp_path / "product.json"
+            spec = ProductSealSpec("01101", (0.0, 0.1, 0.3, 0.5, math.pi / 4))
+            save_overlap_matrix(overlap_matrix(spec), path)
+        miss = _load_lambda_file(path).coefficients
+        assert json_loads_calls[0] == 2 and len(entries(cache)) == 1  # the head, then the rows
+        hit = _load_lambda_file(path).coefficients
+        assert json_loads_calls[0] == 3  # the head alone
+        assert hit.tobytes() == miss.tobytes() == load_overlap_matrix(path).coefficients.tobytes()
+        assert hit.dtype == miss.dtype and hit.shape == miss.shape
+        assert not hit.flags.writeable
+
+    def test_the_library_loader_caches_nothing(self, cache, json_loads_calls):
+        for _ in range(2):
+            load_overlap_matrix(DATA / "random16.json")
+        assert json_loads_calls[0] == 4  # parsed both times
+        assert not cache.parent.exists()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda entry, coefficients: entry.write_bytes(entry.read_bytes()[:-1]),
+            lambda entry, coefficients: entry.write_bytes(entry.read_bytes() + b"\0"),
+            lambda entry, coefficients: np.save(entry, coefficients.astype(np.complex64)),
+            lambda entry, coefficients: np.save(entry, coefficients.astype(">c16")),
+            lambda entry, coefficients: np.save(entry, coefficients.real),
+            lambda entry, coefficients: np.save(entry, coefficients.reshape(-1)),
+            lambda entry, coefficients: np.save(entry, coefficients[:8, :8]),
+            lambda entry, coefficients: np.save(entry, np.asfortranarray(coefficients.T)),
+            lambda entry, coefficients: np.save(entry, 2 * coefficients),
+            lambda entry, coefficients: np.save(entry, coefficients.astype(object)),
+            lambda entry, coefficients: entry.write_bytes(b"not a .npy file"),
+            lambda entry, coefficients: entry.write_bytes(b""),
+        ],
+        ids=[
+            "truncated", "trailing-byte", "complex64", "big-endian", "float64", "flat", "wrong-dim",
+            "fortran-order", "non-unit", "object", "not-npy", "empty",
+        ],
+    )
+    def test_a_bad_entry_is_a_miss_and_is_replaced(self, cache, json_loads_calls, corrupt):
+        path = DATA / "random16.json"
+        expected = _load_lambda_file(path).coefficients
+        (entry,) = entries(cache)
+        good = entry.read_bytes()
+        corrupt(entry, expected)
+        assert entries(cache) == [entry] and entry.read_bytes() != good
+        before = json_loads_calls[0]
+        assert _load_lambda_file(path).coefficients.tobytes() == expected.tobytes()
+        assert json_loads_calls[0] - before == 2  # parsed again
+        assert entries(cache) == [entry] and entry.read_bytes() == good
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dim": 2, "rows": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}',
+            '{"dim": 2, "rows": [[[1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]}',
+            '{"dim": 1, "rows": [[[NaN, 0]]]}',
+        ],
+        ids=["non-unit", "ragged", "nan"],
+    )
+    def test_a_malformed_file_is_never_cached(self, tmp_path, cache, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                _load_lambda_file(path)
+            assert entries(cache) == []
+
+    def test_the_cap_is_checked_before_a_hit(self, cache, monkeypatch):
+        _load_lambda_file(DATA / "random16.json")
+        assert len(entries(cache)) == 1
+        monkeypatch.setenv("SEALSIM_MAX_DIM", "8")
+        with pytest.raises(ResourceError):
+            _load_lambda_file(DATA / "random16.json")
+
+    @pytest.mark.parametrize("kind", ["not-a-directory", "read-only"])
+    def test_an_unwritable_cache_is_no_cache(self, tmp_path, monkeypatch, capsys, kind):
+        if kind == "read-only" and os.geteuid() == 0:
+            pytest.skip("root may write to a read-only directory")
+        home = tmp_path / "cache-home"
+        if kind == "not-a-directory":
+            home.write_text("")
+        else:
+            (home / "sealsim").mkdir(parents=True)
+            (home / "sealsim").chmod(0o555)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        path = DATA / "random16.json"
+        arr = np.asarray(json.loads(path.read_text(encoding="utf-8"))["rows"], dtype=float)
+        expected = (arr[..., 0] + 1j * arr[..., 1]).tobytes()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for _ in range(2):
+                    assert _load_lambda_file(path).coefficients.tobytes() == expected
+            left = sorted(home.rglob("*")) if home.is_dir() else []
+        finally:
+            if kind == "read-only":
+                (home / "sealsim").chmod(0o755)
+        assert caught == []
+        assert capsys.readouterr() == ("", "")
+        assert left == ([home / "sealsim"] if kind == "read-only" else [])  # nothing cached
+
+    def test_two_files_leave_one_entry(self, cache, json_loads_calls):
+        _load_lambda_file(DATA / "random16.json")
+        (first,) = entries(cache)
+        _load_lambda_file(DATA / "sparse16.json")
+        (second,) = entries(cache)
+        assert second != first
+        before = json_loads_calls[0]
+        _load_lambda_file(DATA / "random16.json")
+        assert json_loads_calls[0] - before == 2  # evicted, so parsed again
+        assert entries(cache) == [first]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [(b'{"dim": 16,', b'{"dim":16 ,'), (b"]]]}", b"]]] }"), (b"[[[0.1", b"[[[ 0.1")],
+        ids=["head", "tail", "rows"],
+    )
+    def test_the_key_is_the_content_not_the_path(self, tmp_path, cache, json_loads_calls, edit):
+        copy = tmp_path / "copy.json"
+        copy.write_bytes((DATA / "random16.json").read_bytes())
+        _load_lambda_file(DATA / "random16.json")
+        _load_lambda_file(copy)
+        assert json_loads_calls[0] == 3  # a hit
+        text = copy.read_bytes()
+        assert text.count(edit[0]) == 1
+        copy.write_bytes(text.replace(*edit))
+        _load_lambda_file(copy)
+        assert json_loads_calls[0] == 5  # a miss
+
+    @pytest.mark.parametrize("module", [seals, cli], ids=["parser", "cache"])
+    def test_a_changed_loader_never_reads_an_older_entry(
+        self, tmp_path, cache, json_loads_calls, monkeypatch, module
+    ):
+        path = DATA / "random16.json"
+        _load_lambda_file(path)
+        (older,) = entries(cache)
+        # the same code under a source one byte longer, as an edited sealsim would have
+        changed = tmp_path / "changed.py"
+        changed.write_bytes(Path(module.__file__).read_bytes() + b"\n")
+        monkeypatch.setattr(module, "__file__", str(changed))
+        _load_lambda_file(path)
+        assert json_loads_calls[0] == 4  # parsed again
+        (newer,) = entries(cache)
+        assert newer != older
+
+
 IMPORT_PROBE = """
 import sys
 from sealsim.cli import main
@@ -404,13 +584,16 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 assert not scipy_modules(), scipy_modules()
-# only the overlap-matrix cache uses hashlib, and imports it when a file is loaded
 assert "hashlib" not in sys.modules
 main(["sweep", "--bits", "010", "--theta", "0.3"])
 main(["decode-matrix", "--bits", "010", "--theta", "0.3", "--nu", "0.5"])
 main(["decode-matrix", "--bits", "010", "--theta", "0.3", "--nu", "0.5", "--format", "json"])
+# a miss that writes the overlap-matrix cache, then a hit: the key is hashed
+# with the built-in BLAKE2, so neither maps OpenSSL's libcrypto through hashlib
+main(["sweep", "--lambda-file", sys.argv[1]])
+main(["sweep", "--lambda-file", sys.argv[1]])
 assert not scipy_modules(), scipy_modules()
-assert "hashlib" not in sys.modules
+assert "hashlib" not in sys.modules and "_hashlib" not in sys.modules
 main(["claims", "--trials", "1000"])
 main(["mc-validate", "--bits", "01", "--theta", "0.3", "--nu", "0.5", "--trials", "1000"])
 main(["mc-validate", "--bits", "01", "--theta", "0.3", "--coin-q", "0.5", "--trials", "1000"])
@@ -420,7 +603,10 @@ assert not scipy_modules(), scipy_modules()
 
 def test_commands_without_chi_square_never_import_scipy():
     result = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", IMPORT_PROBE, str(DATA / "random16.json")],
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
     assert result.returncode == 0, result.stderr
 

@@ -1,7 +1,6 @@
 import json
 import math
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -416,153 +415,3 @@ class TestOverlapMatrixFiles:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ResourceError):
             load_overlap_matrix(path)
-
-
-@pytest.fixture
-def cache(tmp_path, monkeypatch):
-    """An empty cache directory for this test alone."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-home"))
-    return tmp_path / "cache-home" / "sealsim"
-
-
-@pytest.fixture
-def json_loads_calls(monkeypatch):
-    """The number of json.loads calls made so far, as a one-item list."""
-    calls = [0]
-    real = json.loads
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(json, "loads", counting)
-    return calls
-
-
-def entries(cache: Path) -> list[Path]:
-    return sorted(cache.iterdir()) if cache.exists() else []
-
-
-class TestOverlapMatrixCache:
-    @pytest.mark.parametrize("name", (*GOLDEN_FILES, "product"))
-    def test_a_hit_equals_a_miss_bit_for_bit(self, tmp_path, cache, json_loads_calls, name):
-        path = DATA / name
-        if name == "product":
-            path = tmp_path / "product.json"
-            spec = ProductSealSpec("01101", (0.0, 0.1, 0.3, 0.5, math.pi / 4))
-            save_overlap_matrix(overlap_matrix(spec), path)
-        miss = load_overlap_matrix(path).coefficients
-        assert json_loads_calls[0] == 2 and len(entries(cache)) == 1  # the head, then the rows
-        hit = load_overlap_matrix(path).coefficients
-        assert json_loads_calls[0] == 3  # the head alone
-        assert hit.tobytes() == miss.tobytes()
-        assert hit.dtype == miss.dtype and hit.shape == miss.shape
-        assert not hit.flags.writeable
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            lambda entry, coefficients: entry.write_bytes(entry.read_bytes()[:-1]),
-            lambda entry, coefficients: entry.write_bytes(entry.read_bytes() + b"\0"),
-            lambda entry, coefficients: np.save(entry, coefficients.astype(np.complex64)),
-            lambda entry, coefficients: np.save(entry, coefficients.astype(">c16")),
-            lambda entry, coefficients: np.save(entry, coefficients.real),
-            lambda entry, coefficients: np.save(entry, coefficients.reshape(-1)),
-            lambda entry, coefficients: np.save(entry, coefficients[:8, :8]),
-            lambda entry, coefficients: np.save(entry, np.asfortranarray(coefficients.T)),
-            lambda entry, coefficients: np.save(entry, 2 * coefficients),
-            lambda entry, coefficients: np.save(entry, coefficients.astype(object)),
-            lambda entry, coefficients: entry.write_bytes(b"not a .npy file"),
-            lambda entry, coefficients: entry.write_bytes(b""),
-        ],
-        ids=[
-            "truncated", "trailing-byte", "complex64", "big-endian", "float64", "flat", "wrong-dim",
-            "fortran-order", "non-unit", "object", "not-npy", "empty",
-        ],
-    )
-    def test_a_bad_entry_is_a_miss_and_is_replaced(self, cache, json_loads_calls, corrupt):
-        path = DATA / "random16.json"
-        expected = load_overlap_matrix(path).coefficients
-        (entry,) = entries(cache)
-        good = entry.read_bytes()
-        corrupt(entry, expected)
-        assert entries(cache) == [entry] and entry.read_bytes() != good
-        before = json_loads_calls[0]
-        assert load_overlap_matrix(path).coefficients.tobytes() == expected.tobytes()
-        assert json_loads_calls[0] - before == 2  # parsed again
-        assert entries(cache) == [entry] and entry.read_bytes() == good
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"dim": 2, "rows": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}',
-            '{"dim": 2, "rows": [[[1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]}',
-            '{"dim": 1, "rows": [[[NaN, 0]]]}',
-        ],
-        ids=["non-unit", "ragged", "nan"],
-    )
-    def test_a_malformed_file_is_never_cached(self, tmp_path, cache, text):
-        path = tmp_path / "bad.json"
-        path.write_text(text, encoding="utf-8")
-        for _ in range(2):
-            with pytest.raises(ValidationError):
-                load_overlap_matrix(path)
-            assert entries(cache) == []
-
-    def test_the_cap_is_checked_before_a_hit(self, cache, monkeypatch):
-        load_overlap_matrix(DATA / "random16.json")
-        assert len(entries(cache)) == 1
-        monkeypatch.setenv("SEALSIM_MAX_DIM", "8")
-        with pytest.raises(ResourceError):
-            load_overlap_matrix(DATA / "random16.json")
-
-    @pytest.mark.parametrize("kind", ["not-a-directory", "read-only"])
-    def test_an_unwritable_cache_is_no_cache(self, tmp_path, monkeypatch, capsys, kind):
-        home = tmp_path / "cache-home"
-        if kind == "not-a-directory":
-            home.write_text("")
-        else:
-            (home / "sealsim").mkdir(parents=True)
-            (home / "sealsim").chmod(0o555)
-        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
-        path = DATA / "random16.json"
-        arr = np.asarray(json.loads(path.read_text(encoding="utf-8"))["rows"], dtype=float)
-        expected = (arr[..., 0] + 1j * arr[..., 1]).tobytes()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                for _ in range(2):
-                    assert load_overlap_matrix(path).coefficients.tobytes() == expected
-        finally:
-            if kind == "read-only":
-                (home / "sealsim").chmod(0o755)
-        assert caught == []
-        assert capsys.readouterr() == ("", "")
-
-    def test_two_files_leave_one_entry(self, cache, json_loads_calls):
-        load_overlap_matrix(DATA / "random16.json")
-        (first,) = entries(cache)
-        load_overlap_matrix(DATA / "sparse16.json")
-        (second,) = entries(cache)
-        assert second != first
-        before = json_loads_calls[0]
-        load_overlap_matrix(DATA / "random16.json")
-        assert json_loads_calls[0] - before == 2  # evicted, so parsed again
-        assert entries(cache) == [first]
-
-    @pytest.mark.parametrize(
-        "edit",
-        [(b'{"dim": 16,', b'{"dim":16 ,'), (b"]]]}", b"]]] }"), (b"[[[0.1", b"[[[ 0.1")],
-        ids=["head", "tail", "rows"],
-    )
-    def test_the_key_is_the_content_not_the_path(self, tmp_path, cache, json_loads_calls, edit):
-        copy = tmp_path / "copy.json"
-        copy.write_bytes((DATA / "random16.json").read_bytes())
-        load_overlap_matrix(DATA / "random16.json")
-        load_overlap_matrix(copy)
-        assert json_loads_calls[0] == 3  # a hit
-        text = copy.read_bytes()
-        assert text.count(edit[0]) == 1
-        copy.write_bytes(text.replace(*edit))
-        load_overlap_matrix(copy)
-        assert json_loads_calls[0] == 5  # a miss
