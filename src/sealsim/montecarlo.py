@@ -2,28 +2,35 @@
 
 Determinism contract: an experiment draws from one philox4x64
 counter-based stream keyed by (base seed, 0), and round r owns exactly
-one Philox counter block — the four doubles at stream positions
+one Philox counter block — the four 64-bit words at stream positions
 [4r, 4r+4).  A worker can jump straight to any round's block with
 ``Philox.advance(r)``, so results are bit-identical for a fixed seed
 and trial count no matter how rounds are scheduled, and the generator
 name is recorded in the emitted stats so runs are auditable.
 
+The draws are the raw words of the bit generator, whose stream numpy
+keeps stable (NEP 19), not the output of a `Generator` method, which it
+does not.  `_uniform` turns a word w into the double (w >> 11) * 2**-53,
+bit for bit the one `Generator.random` makes of the same word.
+
 Within its block a round consumes draws in a fixed order: measurement
 family — outcome, verify; coin toss — coin, outcome-or-guess, verify.
-Unused slots are discarded.  `run_experiment` walks the draw table
-chunk by chunk: one generator yields consecutive blocks of at most
-CHUNK_ROUNDS rounds, each chunk is vectorized and its histogram and
-pass count are added to the totals, so memory is O(CHUNK_ROUNDS) for
-any trial count and the counts do not depend on the chunk size.
+Unused slots are discarded and never converted.  `run_experiment` walks
+the draw table block by block: one bit generator yields consecutive
+blocks of at most CHUNK_ROUNDS rounds, each block is vectorized and its
+histogram and pass count are added to the totals, so memory is
+O(CHUNK_ROUNDS) for any trial count and the counts do not depend on the
+block size.
 
 The reference this contract is checked against lives in the test
 suite, not here: `tests/oracles.py::replay_experiment` walks the whole
 table one round at a time through a per-round attack and verifier, and
 `tests/oracles.py::round_block` reaches round r's block by jumping the
-counter; the tests assert that both agree with `run_experiment` and
-`draw_chunks`.  (The bulk path's pass probabilities are closed forms;
-they may differ from the replayed fidelities by rounding, so a draw
-within an ulp of a threshold could split the two.)
+counter, both drawing through `Generator.random`; the tests assert that
+both agree with `run_experiment` and `draw_chunks`.  (The bulk path's
+pass probabilities are closed forms; they may differ from the replayed
+fidelities by rounding, so a draw within an ulp of a threshold could
+split the two.)
 
 Sampler contract: an outcome draw u in [0, 1) selects, by inverse CDF,
 `attacks._sample_index(cumulative, u)`: the first outcome whose running
@@ -50,7 +57,7 @@ from .seals import OverlapMatrix, ProductSealSpec, product_seal
 GENERATOR_NAME = "philox4x64"
 CHI_SQUARE_LEVEL = 0.999
 DRAWS_PER_ROUND = 4  # one Philox counter block
-CHUNK_ROUNDS = 1 << 15  # rounds per bulk block: 1 MiB of draws
+CHUNK_ROUNDS = 1 << 12  # rounds per bulk block: 128 KiB of words, which stay in cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,15 +170,22 @@ def _philox(seed: int) -> np.random.Philox:
 
 
 def draw_chunks(seed: int, trials: int) -> Iterator[np.ndarray]:
-    """The draw table's rows in consecutive blocks of at most CHUNK_ROUNDS.
+    """The draw table's raw words in consecutive blocks of at most CHUNK_ROUNDS rounds.
 
-    One generator serves every block, so round r keeps stream positions
-    [4r, 4r+4) and the concatenated blocks equal the whole draw table.
+    Each block is a uint64 array shaped (rounds, 4), one counter block
+    per round; `_uniform` reads a slot as a draw.  One bit generator
+    serves every block, so round r keeps stream positions [4r, 4r+4) and
+    `_uniform` of the concatenated blocks is the whole draw table.
     """
-    gen = np.random.Generator(_philox(seed))
+    bit_generator = _philox(seed)
     for start in range(0, trials, CHUNK_ROUNDS):
         rounds = min(CHUNK_ROUNDS, trials - start)
-        yield gen.random(rounds * DRAWS_PER_ROUND).reshape(rounds, DRAWS_PER_ROUND)
+        yield bit_generator.random_raw(rounds * DRAWS_PER_ROUND).reshape(rounds, DRAWS_PER_ROUND)
+
+
+def _uniform(words: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from raw words: the top 53 bits, as Generator.random makes them."""
+    return (words >> 11) * 2.0**-53
 
 
 def _family_tables(
@@ -206,27 +220,28 @@ def run_experiment(config: ExperimentConfig) -> EmpiricalStats:
         probs, pass_probs = _family_tables(weights, family)
         sample = _GuideTable(_cumulative(probs))
 
-        def tally(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            outcomes = sample(draws[:, 0])
-            return outcomes, draws[:, 1] < pass_probs[outcomes]
+        def tally(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            outcomes = sample(_uniform(words[:, 0]))
+            return outcomes, _uniform(words[:, 1]) < pass_probs[outcomes]
 
     else:
         q = check_unit_interval("read probability", config.strategy.q)
         sample = _GuideTable(_cumulative(weights))
 
-        def tally(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            acted = draws[:, 0] < q
-            honest = sample(draws[:, 1])
-            guesses = np.minimum((draws[:, 1] * n).astype(np.int64), n - 1)
+        def tally(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            acted = _uniform(words[:, 0]) < q
+            read = _uniform(words[:, 1])
+            honest = sample(read)
+            guesses = np.minimum((read * n).astype(np.int64), n - 1)
             # collapsed to |i>: passes with fidelity |c_i|^2; untouched: the
             # verifier sees the original back and passes
-            passes = draws[:, 2] < np.where(acted, weights[honest], 1.0)
+            passes = _uniform(words[:, 2]) < np.where(acted, weights[honest], 1.0)
             return np.where(acted, honest, guesses), passes
 
     counts = np.zeros(n, dtype=np.int64)
     pass_count = 0
-    for draws in draw_chunks(config.seed, config.trials):
-        outcomes, passes = tally(draws)
+    for words in draw_chunks(config.seed, config.trials):
+        outcomes, passes = tally(words)
         counts += np.bincount(outcomes, minlength=n)
         pass_count += int(np.count_nonzero(passes))
     return EmpiricalStats(decode_counts=counts, pass_count=pass_count, trials=config.trials)

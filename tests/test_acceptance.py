@@ -17,6 +17,7 @@ from sealsim import claims
 from sealsim.analysis import decode_probabilities
 from sealsim.attacks import measurement_family
 from sealsim.errors import unit_norm_weights
+from sealsim.montecarlo import run_experiment
 
 SEED = 42
 TRIALS = 100_000
@@ -109,6 +110,31 @@ def test_criterion_11_claims_reports_are_byte_identical():
     assert first.returncode == 0, first.stderr.decode()
     assert second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_a_report_runs_each_experiment_once(monkeypatch):
+    # claim 7's family run is claim 5's first; a second report runs its own
+    configs = []
+
+    def counting(config):
+        configs.append(config)
+        return run_experiment(config)
+
+    monkeypatch.setattr(claims, "run_experiment", counting)
+    for _ in range(2):
+        claims.run_claims(seed=SEED, trials=1000)
+    assert len(configs) == 8 and len(set(configs)) == 4
+
+
+def test_claim_7_reads_the_built_suite(monkeypatch):
+    claims.seal_suite.cache_clear()
+    claims.seal_suite()
+
+    def no_build(spec):
+        raise AssertionError(f"overlap matrix built again for {spec}")
+
+    monkeypatch.setattr(claims, "overlap_matrix", no_build)
+    assert claims.check_coin_toss_equivalence(SEED, 1000).passed
 
 
 def dense_loop_gap(seed: int) -> float:

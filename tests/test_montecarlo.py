@@ -19,6 +19,8 @@ from sealsim.montecarlo import (
     ExperimentConfig,
     ExplicitSealSpec,
     FamilyStrategy,
+    _philox,
+    _uniform,
     _upper_gamma,
     chi_square_check,
     draw_chunks,
@@ -46,7 +48,34 @@ class TestDrawTable:
         monkeypatch.setattr(mc, "CHUNK_ROUNDS", chunk)
         blocks = list(draw_chunks(42, 100))
         assert all(len(block) <= chunk for block in blocks)
-        assert np.array_equal(np.concatenate(blocks), draw_table(42, 100))
+        assert all(block.dtype == np.uint64 for block in blocks)
+        assert np.array_equal(_uniform(np.concatenate(blocks)), draw_table(42, 100))
+
+
+def _bits(doubles: np.ndarray) -> np.ndarray:
+    return doubles.view(np.uint64)
+
+
+class TestUniformWords:
+    """_uniform of raw Philox words is Generator.random, bit for bit."""
+
+    DRAWS = 1 << 20
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_words_give_generator_random_across_block_boundaries(self, seed):
+        # 2**20 draws and 5 rounds more, so that the last block is partial
+        rounds = self.DRAWS // DRAWS_PER_ROUND + 5
+        expected = _bits(np.random.Generator(_philox(seed)).random(rounds * DRAWS_PER_ROUND))
+        words = _philox(seed).random_raw(rounds * DRAWS_PER_ROUND)
+        assert np.array_equal(_bits(_uniform(words)), expected)
+        blocks = list(draw_chunks(seed, rounds))
+        assert len(blocks) > 2 and len(blocks[-1]) == 5
+        drawn = np.concatenate([_uniform(block).ravel() for block in blocks])
+        assert np.array_equal(_bits(drawn), expected)
+
+    def test_the_extreme_words_map_to_the_ends_of_the_interval(self):
+        words = np.array([0, 2**11 - 1, 2**11, 2**64 - 1], dtype=np.uint64)
+        assert _uniform(words).tolist() == [0.0, 0.0, 2.0**-53, 1.0 - 2.0**-53]
 
 
 class TestExperimentConfig:
@@ -233,6 +262,25 @@ class TestChunkedExperiment:
 
         small, large = peak(2 * CHUNK_ROUNDS), peak(16 * CHUNK_ROUNDS)
         assert large <= 1.25 * small
+
+    @pytest.mark.parametrize("strategy", CHUNK_STRATEGIES, ids=["family", "coin"])
+    def test_a_run_of_1e5_trials_peaks_under_1_mib(self, strategy):
+        # a block's words and temporaries, the outcome and pass tables and
+        # the histogram; a warm-up run first imports numpy.random, which
+        # allocates about 1 MB once per process
+        def config(trials: int) -> ExperimentConfig:
+            return ExperimentConfig(
+                seal=CHUNK_SEALS["random16"], strategy=strategy, trials=trials, seed=3
+            )
+
+        run_experiment(config(1))
+        tracemalloc.start()
+        try:
+            run_experiment(config(100_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
 
 class TestChiSquare:
