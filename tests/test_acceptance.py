@@ -18,6 +18,7 @@ from sealsim.analysis import decode_probabilities
 from sealsim.attacks import measurement_family
 from sealsim.errors import unit_norm_weights
 from sealsim.montecarlo import run_experiment
+from sealsim.seals import overlap_matrix
 
 SEED = 42
 TRIALS = 100_000
@@ -95,7 +96,13 @@ def test_criterion_10_fails_on_a_perturbed_overlap_entry(monkeypatch):
         return SimpleNamespace(coefficients=coefficients, dim=om.dim)
 
     monkeypatch.setattr(claims, "overlap_matrix", perturbed)
-    result = claims.check_cross_construction()
+    # claim 10 reads the suite's matrices: rebuild it from the perturbed ones,
+    # and drop it afterwards so that no other test reads them
+    claims.seal_suite.cache_clear()
+    try:
+        result = claims.check_cross_construction()
+    finally:
+        claims.seal_suite.cache_clear()
     report(result)
     assert not result.passed
     assert result.details == ("max amplitude deviation = 1.000000e-09",)
@@ -135,6 +142,20 @@ def test_claim_7_reads_the_built_suite(monkeypatch):
 
     monkeypatch.setattr(claims, "overlap_matrix", no_build)
     assert claims.check_coin_toss_equivalence(SEED, 1000).passed
+
+
+def test_claim_10_reads_the_built_suite(monkeypatch):
+    claims.seal_suite.cache_clear()
+    claims.seal_suite()
+    built = []
+
+    def record(spec):
+        built.append(spec.bits)
+        return overlap_matrix(spec)
+
+    monkeypatch.setattr(claims, "overlap_matrix", record)
+    assert claims.check_cross_construction().passed
+    assert built == ["101"]  # the mixed-angle spot check alone
 
 
 def dense_loop_gap(seed: int) -> float:

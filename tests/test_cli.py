@@ -750,3 +750,89 @@ class TestClaims:
             line for line in out.split("\n") if "povm-completeness" in line
         )
         assert "FAIL" in completeness_line
+
+
+ENTRY_FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+
+# atexit callbacks run before the interpreter's shutdown collections, which
+# skip frozen objects; gc.get_objects() lists the tracked ones not frozen
+atexit.register(
+    lambda: print(gc.get_freeze_count(), len(gc.get_objects()), file=sys.stderr)
+)
+runpy.run_module("sealsim", run_name="__main__", alter_sys=True)
+"""
+
+IN_PROCESS_PROBE = """
+import gc
+before = gc.get_freeze_count()
+import sealsim, sealsim.__main__
+from sealsim import cli
+assert cli.main(["sweep", "--bits", "01", "--theta", "0.3"]) == 0
+assert gc.isenabled()
+assert gc.get_freeze_count() == before, (before, gc.get_freeze_count())
+"""
+
+# more output than a pipe holds, so the writer is still writing when the reader goes
+BIG_OUTPUT = (
+    "decode-matrix", "--lambda-file", str(DATA / "random64.json"), "--nu", "0.5", "--format", "json"
+)
+
+
+class TestEntry:
+    """`python -m sealsim` and the console script: one entry that freezes the GC."""
+
+    def test_the_command_exits_with_the_collector_frozen(self):
+        result = subprocess.run(
+            [sys.executable, "-c", ENTRY_FREEZE_PROBE, "claims", "--trials", "1000"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "result: PASS" in result.stdout
+        frozen, unfrozen = map(int, result.stderr.split())
+        # frozen after the imports; the objects the command made, frozen as it returned
+        assert frozen > 10_000 and unfrozen < 100, (frozen, unfrozen)
+
+    def test_imports_and_in_process_calls_leave_the_collector_alone(self):
+        result = subprocess.run(
+            [sys.executable, "-c", IN_PROCESS_PROBE], capture_output=True, text=True, timeout=300
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_the_console_script_is_the_module_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"sealsim": "sealsim.__main__:run"}
+
+    def test_a_closed_pipe_exits_2(self, tmp_path):
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path)}
+        with subprocess.Popen(
+            [sys.executable, "-m", "sealsim", *BIG_OUTPUT],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            head = proc.stdout.read(10)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert head == b'{\n  "dim":'
+        assert (code, err) == (2, b"error: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_a_full_device_exits_2(self, tmp_path):
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path)}
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "sealsim", *BIG_OUTPUT],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        assert result.returncode == 2
+        (line,) = result.stderr.splitlines()
+        assert line.startswith(b"error: [Errno 28] ")

@@ -15,6 +15,8 @@ the diff of golden.json.
 """
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -93,6 +95,50 @@ def test_stdout_and_exit_code_match(capsys, tmp_path, monkeypatch, golden, comma
             (entry,) = (tmp_path / "sealsim").iterdir()
             inodes.add(entry.stat().st_ino)
     assert len(inodes) <= 1  # a miss in the warm run would have replaced the entry
+
+
+# one pinned command per subcommand, run as `python -m sealsim` in a fresh
+# interpreter: the entry that the console script and the benchmark run
+ENTRY_COMMANDS = (
+    ("claims", "--seed", "42", "--trials", "20000"),
+    ("sweep", "--format", "json", "--lambda-file", RANDOM64),
+    ("decode-matrix", "--lambda-file", RANDOM, "--nu", "0.5", "--format", "json"),
+    ("mc-validate", "--lambda-file", RANDOM64, "--message", "41", "--nu", "0.5", *MULTI),
+)
+
+# commands that fail print nothing on stdout; (command, environment, exit, stderr start)
+FAILING_COMMANDS = (
+    (("decode-matrix", "--lambda-file", RANDOM, "--nu", "1.5"), {}, 2, "error: nu must lie"),
+    (("sweep", "--format", "xml", "--lambda-file", RANDOM), {}, 2, "usage: sealsim sweep"),
+    (("sweep", "--lambda-file", RANDOM64), {"SEALSIM_MAX_DIM": "16"}, 3, "resource error: "),
+)
+
+
+def _run_module(command, tmp_path, **env) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "sealsim", *_argv(command)],
+        capture_output=True,
+        env={**os.environ, "XDG_CACHE_HOME": str(tmp_path), **env},
+        timeout=300,
+    )
+
+
+@pytest.mark.parametrize("command", ENTRY_COMMANDS, ids=_key)
+def test_the_module_entry_prints_the_pinned_bytes(tmp_path, golden, command):
+    expected = golden[_key(command)]
+    result = _run_module(command, tmp_path)
+    assert result.returncode == expected["exit"], result.stderr
+    assert result.stdout == expected["stdout"].encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "command, env, code, stderr", FAILING_COMMANDS, ids=[_key(c[0]) for c in FAILING_COMMANDS]
+)
+def test_the_module_entry_exits_with_the_error_code(tmp_path, command, env, code, stderr):
+    result = _run_module(command, tmp_path, **env)
+    assert result.returncode == code
+    assert result.stdout == b""
+    assert result.stderr.decode("utf-8").startswith(stderr)
 
 
 def _record() -> None:
