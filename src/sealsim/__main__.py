@@ -8,16 +8,36 @@ collection, so the entry freezes them once after the imports and again
 when the command returns.  The collector stays enabled, so cycles made
 during the command are still collected; importing this module, or
 calling `cli.main` in-process, leaves the collector as it was.
+
+`numpy.random` imports `secrets`, whose `hmac` imports `_hashlib`, and
+that maps OpenSSL's libcrypto (about 3.5 MiB) into every Monte Carlo
+command, though no command hashes with it.  So before it imports the
+CLI, the entry marks `_hashlib` as missing, and `hmac` and `hashlib`
+fall back to CPython's built-in hash modules.  It does so only where all
+of those are present, since `hashlib` logs an error for each one it
+lacks, and never replaces an `_hashlib` already imported.  numpy 1.x
+imports `numpy.random` with numpy itself, so there the package has
+loaded `_hashlib` before the entry runs.
 """
 
 import gc
 import sys
+from importlib.util import find_spec
 
-from .cli import main
+# the built-in modules behind hashlib's constructors when _hashlib is missing
+_BUILTIN_HASHES = (
+    ("_md5", "_sha1", "_sha2", "_sha3", "_blake2")
+    if sys.version_info >= (3, 12)
+    else ("_md5", "_sha1", "_sha256", "_sha512", "_sha3", "_blake2")
+)
 
 
 def run() -> None:
     """Run the command in sys.argv and exit with its code."""
+    if all(find_spec(name) is not None for name in _BUILTIN_HASHES):
+        sys.modules.setdefault("_hashlib", None)
+    from .cli import main
+
     gc.freeze()
     try:
         code = main()

@@ -37,6 +37,8 @@ from .seals import OverlapMatrix, ProductSealSpec, overlap_matrix
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 42
+# a step of 1e-5 on [0, 1]; each point of a sweep holds memory until the output is written
+MAX_GRID_POINTS = 100_001
 
 
 def _sig(value: float) -> str:
@@ -195,8 +197,8 @@ def _parse_grid(text: str) -> list[float]:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise UsageError(f"could not parse grid {text!r}") from exc
-        if count < 2:
-            raise UsageError("grid count must be at least 2")
+        if not 2 <= count <= MAX_GRID_POINTS:
+            raise UsageError(f"grid count must be between 2 and {MAX_GRID_POINTS}")
         return [float(v) for v in np.linspace(start, stop, count)]
     try:
         return [float(v) for v in text.split(",")]
@@ -381,4 +383,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # `python -m sealsim.cli` runs the one entry that `python -m sealsim` runs
+    from .__main__ import run
+
+    run()

@@ -11,7 +11,14 @@ import pytest
 
 from sealsim import cli, seals
 from sealsim.analysis import decode_matrix
-from sealsim.cli import _decode_matrix_csv, _load_lambda_file, _sig, main
+from sealsim.cli import (
+    _decode_matrix_csv,
+    _decode_matrix_json,
+    _load_lambda_file,
+    _parse_grid,
+    _sig,
+    main,
+)
 from sealsim.errors import ResourceError, ValidationError
 from sealsim.seals import (
     OverlapMatrix,
@@ -114,6 +121,26 @@ class TestDecodeMatrix:
         code, out, _ = run_cli(capsys, *argv, "--out", str(path))
         assert code == 0 and out == ""
         assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("kind", ["random", "product", "special-values"])
+    def test_json_text_is_json_dumps(self, kind):
+        if kind == "random":
+            probs = np.random.default_rng(12).random((24, 24))
+        elif kind == "product":
+            overlaps = overlap_matrix(ProductSealSpec("10110", (0.1, 0.2, 0.3, 0.4, 0.5)))
+            probs = decode_matrix(overlaps, 0.37)
+        else:
+            special = [0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e16, 1.0]
+            # every rotation, so each value sits in every column
+            probs = np.array([np.roll(special, k) for k in range(len(special))])
+        payload = {
+            "dim": len(probs),
+            "nu": 0.37,
+            "probabilities": probs.tolist(),
+            "row_sums": probs.sum(axis=1).tolist(),
+        }
+        text = "".join(_decode_matrix_json(probs, 0.37))
+        assert text == json.dumps(payload, indent=2) + "\n"
 
     @pytest.mark.parametrize("kind", ["uniform", "wide-exponents", "special-values"])
     def test_csv_text_is_the_per_value_sig_text(self, kind):
@@ -320,6 +347,21 @@ class TestUsageErrors:
             capsys, "sweep", "--bits", "0", "--theta", "0", "--grid", "1,0.5"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["0:1:1", "0:1:100002", "0:1:100000000"])
+    def test_grid_count_out_of_range(self, capsys, monkeypatch, grid):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linspace ran before the count was checked")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        code, out, err = run_cli(capsys, "sweep", "--bits", "0", "--theta", "0", "--grid", grid)
+        assert (code, out) == (2, "")
+        assert err == "error: grid count must be between 2 and 100001\n"
+
+    def test_grid_count_at_the_bound(self):
+        grid = _parse_grid("0:1:100001")
+        assert len(grid) == 100_001
+        assert (grid[0], grid[1], grid[-1]) == (0.0, 1e-05, 1.0)
 
     @pytest.mark.parametrize(
         "flags",
@@ -773,6 +815,58 @@ assert gc.isenabled()
 assert gc.get_freeze_count() == before, (before, gc.get_freeze_count())
 """
 
+ENTRY_HASHLIB_PROBE = """
+import atexit, json, runpy, sys
+
+report, module, setup = sys.argv.pop(1), sys.argv.pop(1), sys.argv.pop(1)
+exec(setup)
+import numpy
+
+# numpy 1.x imports numpy.random, and with it _hashlib, when numpy is imported
+eager = "numpy.random" in sys.modules
+
+
+def write_report():
+    try:
+        with open("/proc/self/maps") as fh:
+            libcrypto = "libcrypto" in fh.read()
+    except OSError:
+        libcrypto = None
+    if "_hashlib" not in sys.modules:
+        state = "absent"
+    else:
+        state = "blocked" if sys.modules["_hashlib"] is None else "loaded"
+    with open(report, "w") as fh:
+        json.dump({"eager": eager, "libcrypto": libcrypto, "_hashlib": state}, fh)
+
+
+atexit.register(write_report)
+runpy.run_module(module, run_name="__main__", alter_sys=True)
+"""
+
+IN_PROCESS_HASHLIB_PROBE = """
+import sealsim, sealsim.__main__
+from sealsim import cli
+assert cli.main(["mc-validate", "--bits", "01", "--theta", "0.3", "--nu", "0.5"]) == 0
+import _hashlib
+"""
+
+MC_COMMAND = ("mc-validate", "--bits", "0110", "--theta", "0.5", "--nu", "0.5")
+SMALL_CLAIMS = ("claims", "--trials", "1000")
+
+
+def run_entry_probe(tmp_path, command, module="sealsim", setup=""):
+    """Run command through the entry under ENTRY_HASHLIB_PROBE: the result and the report."""
+    report = tmp_path / "report.json"
+    result = subprocess.run(
+        [sys.executable, "-c", ENTRY_HASHLIB_PROBE, str(report), module, setup, *command],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    return result, json.loads(report.read_text())
+
+
 # more output than a pipe holds, so the writer is still writing when the reader goes
 BIG_OUTPUT = (
     "decode-matrix", "--lambda-file", str(DATA / "random64.json"), "--nu", "0.5", "--format", "json"
@@ -836,3 +930,53 @@ class TestEntry:
         assert result.returncode == 2
         (line,) = result.stderr.splitlines()
         assert line.startswith(b"error: [Errno 28] ")
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+    @pytest.mark.parametrize("module", ["sealsim", "sealsim.cli"])
+    @pytest.mark.parametrize("command", [SMALL_CLAIMS, MC_COMMAND], ids=" ".join)
+    def test_the_command_never_maps_libcrypto(self, tmp_path, module, command):
+        result, report = run_entry_probe(tmp_path, command, module)
+        assert (result.returncode, result.stderr) == (0, "")
+        if report["eager"]:
+            pytest.skip("this numpy imports numpy.random, and _hashlib, before the entry runs")
+        assert report == {"eager": False, "libcrypto": False, "_hashlib": "blocked"}
+
+    def test_a_missing_builtin_hash_leaves_hashlib_alone(self, tmp_path):
+        plain = subprocess.run(
+            [sys.executable, "-m", "sealsim", *SMALL_CLAIMS],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        # hashlib would log an error for md5 if _hashlib were blocked too
+        result, report = run_entry_probe(tmp_path, SMALL_CLAIMS, setup='sys.modules["_md5"] = None')
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == plain.stdout
+        assert report["_hashlib"] == "loaded"
+
+    def test_an_imported_hashlib_stays_imported(self, tmp_path):
+        result, report = run_entry_probe(tmp_path, MC_COMMAND, setup="import _hashlib")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert report["_hashlib"] == "loaded"
+
+    def test_imports_and_in_process_calls_leave_hashlib_importable(self):
+        result = subprocess.run(
+            [sys.executable, "-c", IN_PROCESS_HASHLIB_PROBE],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_python_m_sealsim_cli_is_the_same_entry(self):
+        command = ("claims", "--seed", "42", "--trials", "1000")
+        package, cli_module = (
+            subprocess.run(
+                [sys.executable, "-m", module, *command], capture_output=True, timeout=300
+            )
+            for module in ("sealsim", "sealsim.cli")
+        )
+        assert (package.returncode, package.stderr) == (0, b"")
+        assert (cli_module.returncode, cli_module.stdout, cli_module.stderr) == (
+            package.returncode, package.stdout, package.stderr
+        )
