@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -29,6 +28,7 @@ from .montecarlo import (
     ExplicitSealSpec,
     FamilyStrategy,
     chi_square_check,
+    escape_band_check,
     run_experiment,
     stats_record,
 )
@@ -294,11 +294,7 @@ def _cmd_mc_validate(args) -> int:
 
     stats = run_experiment(config)
     statistic, chi_ok = chi_square_check(stats, expected)
-    rate = stats.pass_count / stats.trials
-    sigma = math.sqrt(max(escape * (1.0 - escape), 0.0) / stats.trials)
-    # the 1e-9 floor keeps the degenerate endpoints (escape exactly 0 or
-    # 1, sigma = 0) from failing on representation noise
-    escape_ok = abs(rate - escape) <= max(3.0 * sigma, 1e-9)
+    rate, three_sigma, escape_ok = escape_band_check(stats, escape)
 
     record = stats_record(config, stats)
     record["checks"] = {
@@ -306,7 +302,7 @@ def _cmd_mc_validate(args) -> int:
         "escape": {
             "analytic": escape,
             "empirical": rate,
-            "three_sigma": 3.0 * sigma,
+            "three_sigma": three_sigma,
             "pass": escape_ok,
         },
     }

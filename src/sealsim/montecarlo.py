@@ -280,6 +280,18 @@ def chi_square_check(stats: EmpiricalStats, expected) -> tuple[float, bool]:
     return statistic, _upper_gamma(df / 2, statistic / 2) > 1.0 - CHI_SQUARE_LEVEL
 
 
+def escape_band_check(stats: EmpiricalStats, escape: float) -> tuple[float, float, bool]:
+    """(rate, three_sigma, ok): the pass rate against the analytic escape probability.
+
+    Passes when the rate lies within 3 binomial sigma of `escape`.  The
+    1e-9 floor keeps the degenerate endpoints (escape exactly 0 or 1,
+    sigma = 0) from failing on representation noise.
+    """
+    rate = stats.pass_count / stats.trials
+    three_sigma = 3.0 * math.sqrt(max(escape * (1.0 - escape), 0.0) / stats.trials)
+    return rate, three_sigma, abs(rate - escape) <= max(three_sigma, 1e-9)
+
+
 _EPS = 2.0**-53
 _TINY = 1e-300  # keeps the Lentz denominators away from zero
 

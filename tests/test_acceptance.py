@@ -16,6 +16,7 @@ from oracles import apply_and_normalize
 from sealsim import claims
 from sealsim.analysis import decode_probabilities
 from sealsim.attacks import measurement_family
+from sealsim.cli import main
 from sealsim.errors import unit_norm_weights
 from sealsim.montecarlo import run_experiment
 from sealsim.seals import overlap_matrix
@@ -100,12 +101,11 @@ def test_criterion_10_fails_on_a_perturbed_overlap_entry(monkeypatch):
     # and drop it afterwards so that no other test reads them
     claims.seal_suite.cache_clear()
     try:
-        result = claims.check_cross_construction()
+        passed, details = claims.check_cross_construction()
     finally:
         claims.seal_suite.cache_clear()
-    report(result)
-    assert not result.passed
-    assert result.details == ("max amplitude deviation = 1.000000e-09",)
+    assert not passed
+    assert details == ("max amplitude deviation = 1.000000e-09",)
 
 
 def test_criterion_11_claims_reports_are_byte_identical():
@@ -133,6 +133,49 @@ def test_a_report_runs_each_experiment_once(monkeypatch):
     assert len(configs) == 8 and len(set(configs)) == 4
 
 
+def claims_report(capsys) -> tuple[int, list[list[str]]]:
+    """Exit code and per-claim blocks of `sealsim claims` at 1e3 trials."""
+    code = main(["claims", "--seed", str(SEED), "--trials", "1000"])
+    blocks = [[]]
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("[") or not line:
+            blocks.append([])
+        blocks[-1].append(line)
+    return code, [block for block in blocks if block[0].startswith("[")]
+
+
+def test_a_crashing_check_is_a_failed_claim(monkeypatch, capsys):
+    _, before = claims_report(capsys)
+
+    def boom():
+        raise ValueError("boom")
+
+    monkeypatch.setattr(claims, "check_bit_seal", boom)
+    code, after = claims_report(capsys)
+    assert code == 1
+    assert after[8] == [
+        "[ 9] FAIL  bit-seal-consistency: check raised instead of completing",
+        "      ValueError: boom",
+    ]
+    assert after[:8] + after[9:] == before[:8] + before[9:]
+    assert len(after) == 10
+
+
+def test_each_report_looks_up_its_checks(monkeypatch):
+    # a check replaced on the module after import is the one a report runs
+    calls = []
+    real = claims.check_decode_floor
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(claims, "check_decode_floor", recording)
+    for _ in range(2):
+        claims.run_claims(seed=SEED, trials=1000)
+    assert calls == [(), ()]
+
+
 def test_claim_7_reads_the_built_suite(monkeypatch):
     claims.seal_suite.cache_clear()
     claims.seal_suite()
@@ -141,7 +184,8 @@ def test_claim_7_reads_the_built_suite(monkeypatch):
         raise AssertionError(f"overlap matrix built again for {spec}")
 
     monkeypatch.setattr(claims, "overlap_matrix", no_build)
-    assert claims.check_coin_toss_equivalence(SEED, 1000).passed
+    passed, _ = claims.check_coin_toss_equivalence(SEED, 1000)
+    assert passed
 
 
 def test_claim_10_reads_the_built_suite(monkeypatch):
@@ -154,7 +198,8 @@ def test_claim_10_reads_the_built_suite(monkeypatch):
         return overlap_matrix(spec)
 
     monkeypatch.setattr(claims, "overlap_matrix", record)
-    assert claims.check_cross_construction().passed
+    passed, _ = claims.check_cross_construction()
+    assert passed
     assert built == ["101"]  # the mixed-angle spot check alone
 
 

@@ -24,6 +24,7 @@ from sealsim.montecarlo import (
     _upper_gamma,
     chi_square_check,
     draw_chunks,
+    escape_band_check,
     run_experiment,
     stats_record,
 )
@@ -398,6 +399,31 @@ class TestChiSquare:
         stats = run_experiment(config)
         _, ok = chi_square_check(stats, [0.625, 0.375])
         assert ok
+
+
+class TestEscapeBand:
+    @staticmethod
+    def stats(pass_count: int, trials: int) -> EmpiricalStats:
+        return EmpiricalStats(decode_counts=[trials], pass_count=pass_count, trials=trials)
+
+    def test_certain_escape_with_every_round_passing(self):
+        assert escape_band_check(self.stats(1000, 1000), 1.0) == (1.0, 0.0, True)
+        # an analytic value an ulp above 1 has no real sigma; the floor absorbs it
+        assert escape_band_check(self.stats(1000, 1000), math.nextafter(1.0, 2.0)) == (
+            1.0, 0.0, True
+        )
+
+    def test_impossible_escape_with_no_round_passing(self):
+        assert escape_band_check(self.stats(0, 1000), 0.0) == (0.0, 0.0, True)
+
+    def test_rate_just_inside_the_band(self):
+        # escape 1/2 at 1e4 trials: 3 sigma = 3 * sqrt(0.25 / 1e4) = 0.015
+        rate, three_sigma, ok = escape_band_check(self.stats(5149, 10_000), 0.5)
+        assert (rate, three_sigma, ok) == (0.5149, pytest.approx(0.015, rel=1e-12), True)
+
+    def test_rate_just_outside_the_band(self):
+        rate, three_sigma, ok = escape_band_check(self.stats(5151, 10_000), 0.5)
+        assert (rate, three_sigma, ok) == (0.5151, pytest.approx(0.015, rel=1e-12), False)
 
 
 class TestStatsRecord:
