@@ -3,7 +3,9 @@
 Everything here is exact finite-N arithmetic: decode probabilities,
 the flat share of the attacker's posterior, Shannon mutual information
 (base 2, uniform message prior), post-attack fidelities, and the
-read-strength tradeoff sweep.
+read-strength tradeoff sweep.  Averaged over decoded values, the flat
+share is exactly 1 - nu for every seal, the weight of the attack's
+do-nothing component, so the sweep reports 1 - nu and sums no column.
 
 Every closed form reads the weights W = |c|^2 of the sealed rows.  They
 are checked once, where amplitudes enter: `OverlapMatrix`, or
@@ -66,7 +68,10 @@ def flat_posterior_masses(probs: np.ndarray, nu: float) -> np.ndarray:
     Each column is summed in the order of the per-column
     flat_posterior_mass in tests/oracles.py, so the values are equal.
     """
-    column_sums = _column_sums(probs)
+    # Summing the contiguous rows of the transpose adds each column in
+    # the same order as np.sum over that column alone; summing down
+    # axis 0 does not.
+    column_sums = np.ascontiguousarray(probs.T).sum(axis=1)
     zero = np.flatnonzero(~(column_sums > 0.0))
     if zero.size:
         raise UsageError(
@@ -74,13 +79,6 @@ def flat_posterior_masses(probs: np.ndarray, nu: float) -> np.ndarray:
             "flat posterior mass is undefined"
         )
     return (1.0 - nu) / column_sums
-
-
-def _column_sums(probs: np.ndarray) -> np.ndarray:
-    # Summing the contiguous rows of the transpose adds each column in
-    # the same order as np.sum over that column alone; summing down
-    # axis 0 does not.
-    return np.ascontiguousarray(probs.T).sum(axis=1)
 
 
 def mutual_information(probs: np.ndarray) -> float:
@@ -131,30 +129,14 @@ def escape_probability(overlaps: OverlapMatrix, nu: float) -> float:
     return float(np.mean(average_fidelity(overlaps.weights, nu)))
 
 
-def expected_flat_mass(probs: np.ndarray, nu: float) -> float:
-    """Flat posterior mass averaged over decoded outcomes.
-
-    Weights each decoded value by its marginal probability; for any seal
-    this expectation equals 1 - nu, the total weight of the attack's
-    do-nothing component.
-    """
-    marginals = probs.mean(axis=0)
-    live = marginals > 0.0
-    # Same order of additions as flat_posterior_masses per column and
-    # then a running total (cumsum): a pairwise sum of the terms, or of
-    # the columns down axis 0, moves the 17-digit result by an ulp.
-    column_sums = _column_sums(probs)
-    terms = marginals[live] * ((1.0 - nu) / column_sums[live])
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
-
-
 def tradeoff_sweep(overlaps: OverlapMatrix, nu_grid) -> list[TradeoffPoint]:
     """Evaluate the tradeoff at every grid value of nu.
 
     Grid values must lie in [0, 1] and increase strictly.  Points are
     independent; output order follows the grid.  Each point equals
-    decode_matrix, mutual_information, escape_probability and
-    expected_flat_mass at that nu, bit for bit.
+    decode_matrix, mutual_information and escape_probability at that
+    nu, bit for bit; its flat_mass is 1 - nu, the marginal-weighted
+    mean of flat_posterior_masses for every seal.
     """
     grid = [check_unit_interval("grid value", float(v)) for v in nu_grid]
     if not grid:
@@ -177,7 +159,7 @@ def _tradeoff_point(weights: np.ndarray, nu: float) -> TradeoffPoint:
         mutual_information=mutual_information(probs),
         guess_probability=float(np.trace(probs)) / probs.shape[0],
         escape_probability=escape,
-        flat_mass=expected_flat_mass(probs, nu),
+        flat_mass=1.0 - nu,
     )
 
 

@@ -102,9 +102,11 @@ Strategy = Union[FamilyStrategy, CoinTossStrategy]
 
 
 def check_trials_and_seed(trials: int, seed: int) -> None:
-    """Raise UsageError unless trials >= 1 and seed fits 64 unsigned bits."""
+    """Raise UsageError unless 1 <= trials < 2**63 and seed fits 64 unsigned bits."""
     if trials < 1:
         raise UsageError(f"trials must be at least 1, got {trials}")
+    if trials >= 2**63:  # more rounds than the int64 decode counts can hold
+        raise UsageError(f"trials must be at most 2**63 - 1, got {trials}")
     if not 0 <= seed < 2**64:
         raise UsageError("seed must be a 64-bit unsigned integer")
 

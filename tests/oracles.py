@@ -3,8 +3,9 @@
 These are the dense and round-by-round forms that no command runs:
 operator application with renormalization, fidelity, the tensor product
 of per-qubit states, a single attack round and a single verifier check,
-the per-column flat posterior mass, and `replay_experiment`, which walks
-the Monte Carlo draw table one round at a time.  `sealsim.montecarlo`'s
+the per-column flat posterior mass and its marginal-weighted sum, and
+`replay_experiment`, which walks the Monte Carlo draw table one round
+at a time.  `sealsim.montecarlo`'s
 determinism contract is stated against `replay_experiment` and
 `round_block`; the tests assert that `run_experiment` and `draw_chunks`
 reproduce them exactly.
@@ -176,6 +177,23 @@ def flat_posterior_mass(probs: np.ndarray, nu: float, decoded: int) -> float:
             "flat posterior mass is undefined"
         )
     return (1.0 - nu) / column_sum
+
+
+def expected_flat_mass(probs: np.ndarray, nu: float) -> float:
+    """Flat posterior mass averaged over decoded outcomes, by the column sums.
+
+    Weights each decoded value by its marginal probability; for any seal
+    this expectation equals 1 - nu, the total weight of the attack's
+    do-nothing component, which is what the sweep reports.
+    """
+    marginals = probs.mean(axis=0)
+    live = marginals > 0.0
+    # Same order of additions as flat_posterior_mass per column and then
+    # a running total (cumsum): a pairwise sum of the terms, or of the
+    # columns down axis 0, moves the 17-digit result by an ulp.
+    column_sums = np.ascontiguousarray(probs.T).sum(axis=1)
+    terms = marginals[live] * ((1.0 - nu) / column_sums[live])
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def draw_table(seed: int, trials: int) -> np.ndarray:

@@ -233,7 +233,7 @@ class TestTradeoffSweep:
     def test_flat_mass_equals_one_minus_nu(self):
         om = overlap_matrix(ProductSealSpec.shared_theta("01", math.pi / 6))
         for p in tradeoff_sweep(om, [0.0, 0.25, 0.5, 0.75, 1.0]):
-            assert abs(p.flat_mass - (1.0 - p.nu)) <= ATOL
+            assert p.flat_mass == 1.0 - p.nu
 
     def test_every_grid_point_cross_checked_by_sampling(self):
         # the full 21-point curve validated against 1e5 seeded rounds each

@@ -379,6 +379,22 @@ class TestUsageErrors:
         assert err.startswith("error:")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "command",
+        [("claims",), ("mc-validate", "--bits", "01", "--theta", "0.3", "--nu", "0.5")],
+        ids=" ".join,
+    )
+    def test_trials_beyond_int64_exit_2_at_once(self, command):
+        # a count the int64 histogram cannot hold would otherwise run until killed
+        result = subprocess.run(
+            [sys.executable, "-m", "sealsim", *command, "--trials", "99999999999999999999999"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: trials must be at most 2**63 - 1")
+
     def test_missing_lambda_file(self, capsys):
         code, _, _ = run_cli(
             capsys, "decode-matrix", "--lambda-file", "/nonexistent.json", "--nu", "0.5"

@@ -2,12 +2,14 @@
 
 The oracles are the loops the library used before it switched to array
 expressions: per-outcome `family_apply` + `fidelity`, per-column
-`flat_posterior_mass`, per-row `average_fidelity`, the O(N^2)
-structured completeness accumulation, the per-message `tensor_product`
-of per-qubit states, the per-row entropies of `mutual_information`, the
-per-point public functions behind `tradeoff_sweep` and the plain
-inverse-CDF search behind the guide table.  `family_apply`, `fidelity`,
-`flat_posterior_mass` and `tensor_product` live in `tests/oracles.py`,
+`flat_posterior_mass` and its marginal-weighted sum `expected_flat_mass`
+(which the sweep's exact 1 - nu replaced), per-row `average_fidelity`,
+the O(N^2) structured completeness accumulation, the per-message
+`tensor_product` of per-qubit states, the per-row entropies of
+`mutual_information`, the per-point public functions behind
+`tradeoff_sweep` and the plain inverse-CDF search behind the guide
+table.  `family_apply`, `fidelity`, `flat_posterior_mass`,
+`expected_flat_mass` and `tensor_product` live in `tests/oracles.py`,
 with the other reference paths the package no longer ships; the loops
 used only here are defined below.  Where the array form promises the
 same additions (or products) in the same order, equality is asserted
@@ -17,7 +19,9 @@ The property tests are derandomized with a bounded example count, so
 every run checks the same cases.
 """
 
+import decimal
 import math
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +30,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import family_apply, fidelity, flat_posterior_mass, tensor_product
+from oracles import (
+    expected_flat_mass,
+    family_apply,
+    fidelity,
+    flat_posterior_mass,
+    tensor_product,
+)
 from sealsim.analysis import (
     TradeoffPoint,
     average_fidelity,
     decode_matrix,
     decode_probabilities,
     escape_probability,
-    expected_flat_mass,
     flat_posterior_masses,
     mutual_information,
     tradeoff_sweep,
@@ -116,7 +125,7 @@ def tradeoff_point(om: OverlapMatrix, nu: float) -> TradeoffPoint:
         mutual_information=mutual_information(probs),
         guess_probability=float(np.trace(probs)) / om.dim,
         escape_probability=escape_probability(om, nu),
-        flat_mass=expected_flat_mass(probs, nu),
+        flat_mass=1.0 - nu,
     )
 
 
@@ -126,6 +135,42 @@ def mixed_angles(seed: int, m: int) -> tuple[float, ...]:
     if m >= 2:
         thetas[0], thetas[-1] = 0.0, math.pi / 4
     return tuple(float(t) for t in thetas)
+
+
+# tiny, mid-range and endpoint read strengths, where a column sum would
+# round differently from the one subtraction 1 - nu
+EXACT_NU_GRID = sorted({0.0, 1e-8, 1e-6, 1e-3, 0.05, 0.5, 1.0, *NU_GRID})
+
+
+def one_minus_exact(nu: float) -> float:
+    """1 - nu, exact in decimal and then rounded once to the nearest float."""
+    with decimal.localcontext() as context:
+        context.prec = 1100  # every double in [0, 1] has at most 1075 significant digits
+        context.traps[decimal.Inexact] = True
+        return float(Decimal(1) - Decimal(nu))
+
+
+def flat_mass_seals():
+    for name in ("random16", "sparse16", "golden-random64"):
+        yield name, MATRICES[name]
+    for m in range(1, 7):
+        bits = "011010"[:m]
+        for theta in THETA_GRID:
+            spec = ProductSealSpec.shared_theta(bits, theta)
+            yield f"m{m}-theta{theta:.4f}", overlap_matrix(spec)
+        yield f"m{m}-mixed", overlap_matrix(ProductSealSpec(bits, mixed_angles(0, m)))
+
+
+FLAT_MASS_SEALS = dict(flat_mass_seals())
+
+
+class TestExactFlatMass:
+    @pytest.mark.parametrize("name", FLAT_MASS_SEALS)
+    def test_sweep_flat_mass_is_one_minus_nu_correctly_rounded(self, name):
+        points = tradeoff_sweep(FLAT_MASS_SEALS[name], EXACT_NU_GRID)
+        assert [p.nu for p in points] == EXACT_NU_GRID
+        for point in points:
+            assert point.flat_mass == one_minus_exact(point.nu), point.nu
 
 
 class TestOracles:
@@ -154,6 +199,14 @@ class TestOracles:
                 if marginals[i] > 0.0:
                     total += marginals[i] * flat_posterior_mass(probs, nu, i)
             assert expected_flat_mass(probs, nu) == total
+            assert abs(total - (1.0 - nu)) <= 1e-12
+
+    def test_expected_flat_mass_skips_the_zero_column_of_sparse16(self):
+        # at nu = 1 the decode matrix is W, whose column 5 is all zero: a
+        # decoded value that never occurs adds nothing to the average
+        probs = decode_matrix(MATRICES["sparse16"], 1.0)
+        assert np.flatnonzero(~probs.any(axis=0)).tolist() == [5]
+        assert expected_flat_mass(probs, 1.0) == 0.0
 
     @pytest.mark.parametrize("name", MATRICES)
     def test_flat_posterior_masses_equal_per_column_loop(self, name):

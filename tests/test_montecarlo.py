@@ -84,6 +84,11 @@ class TestExperimentConfig:
         with pytest.raises(UsageError):
             ExperimentConfig(seal=PI6_SPEC, strategy=FamilyStrategy(0.5), trials=0, seed=1)
 
+    def test_trials_must_fit_the_int64_counts(self):
+        ExperimentConfig(seal=PI6_SPEC, strategy=FamilyStrategy(0.5), trials=2**63 - 1, seed=1)
+        with pytest.raises(UsageError, match=r"at most 2\*\*63 - 1"):
+            ExperimentConfig(seal=PI6_SPEC, strategy=FamilyStrategy(0.5), trials=2**63, seed=1)
+
     def test_seed_must_fit_64_bits(self):
         with pytest.raises(UsageError):
             ExperimentConfig(seal=PI6_SPEC, strategy=FamilyStrategy(0.5), trials=1, seed=2**64)
