@@ -5,10 +5,9 @@ operator application with renormalization, fidelity, the tensor product
 of per-qubit states, a single attack round and a single verifier check,
 the per-column flat posterior mass and its marginal-weighted sum, and
 `replay_experiment`, which walks the Monte Carlo draw table one round
-at a time.  `sealsim.montecarlo`'s
-determinism contract is stated against `replay_experiment` and
-`round_block`; the tests assert that `run_experiment` and `draw_chunks`
-reproduce them exactly.
+at a time.  `sealsim.montecarlo`'s determinism contract is stated
+against `replay_experiment` and `round_block`; the tests assert that
+`run_experiment` and `draw_chunks` reproduce them exactly.
 
 States are plain complex amplitude rows, operators plain N x N complex
 arrays and decode matrices plain N x N probability arrays, as in the
