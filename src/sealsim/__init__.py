@@ -11,12 +11,7 @@ from .analysis import (
     mutual_information,
     tradeoff_sweep,
 )
-from .attacks import (
-    MeasurementFamily,
-    coin_toss_escape_probability,
-    coin_toss_probabilities,
-    measurement_family,
-)
+from .attacks import MeasurementFamily, coin_toss_escape_probability, coin_toss_probabilities
 from .claims import ClaimResult, format_report, run_claims
 from .errors import ResourceError, UsageError, ValidationError
 from .montecarlo import (
@@ -66,7 +61,6 @@ __all__ = [
     "flat_posterior_masses",
     "format_report",
     "load_overlap_matrix",
-    "measurement_family",
     "mutual_information",
     "overlap_matrix",
     "product_seal",

@@ -40,7 +40,7 @@ class MeasurementFamily:
 
     @classmethod
     def from_nu(cls, dim: int, nu: float) -> "MeasurementFamily":
-        """The family's coefficients at read strength nu (no dimension cap)."""
+        """The complete N-operator family at read strength nu: two coefficients, no array."""
         if dim < 2:
             raise UsageError(f"dimension must be at least 2, got {dim}")
         check_unit_interval("nu", nu)
@@ -52,6 +52,7 @@ class MeasurementFamily:
         """Dense N x N complex expansion of the operator targeting basis state index."""
         if not 0 <= index < self.dim:
             raise UsageError(f"operator index {index} out of range")
+        check_dim(self.dim)
         entries = self.a * np.eye(self.dim, dtype=complex)
         entries[index, index] += self.b
         return entries
@@ -84,12 +85,6 @@ class MeasurementFamily:
             return float(np.max(np.abs(total - np.eye(n))))
         a, b = self.a, self.b
         return abs(n * a * a + (2.0 * a * b + b * b) - 1.0)
-
-
-def measurement_family(n: int, nu: float) -> MeasurementFamily:
-    """Build the complete N-operator family at read strength nu."""
-    check_dim(n)
-    return MeasurementFamily.from_nu(n, nu)
 
 
 def coin_toss_probabilities(weights, read_probability: float) -> np.ndarray:

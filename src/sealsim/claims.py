@@ -28,12 +28,8 @@ from .analysis import (
     flat_posterior_masses,
     mutual_information,
 )
-from .attacks import (
-    coin_toss_escape_probability,
-    coin_toss_probabilities,
-    measurement_family,
-)
-from .errors import ResourceError, unit_norm_weights
+from .attacks import MeasurementFamily, coin_toss_escape_probability, coin_toss_probabilities
+from .errors import ResourceError, max_dim, unit_norm_weights
 from .montecarlo import (
     GENERATOR_NAME,
     CoinTossStrategy,
@@ -105,7 +101,7 @@ def check_povm_completeness() -> Verdict:
     worst_at = (0, 0.0)
     for n in COMPLETENESS_DIMS:
         for nu in NU_GRID_COARSE:
-            dev = measurement_family(n, nu).completeness_deviation()
+            dev = MeasurementFamily.from_nu(n, nu).completeness_deviation()
             if dev > worst:
                 worst, worst_at = dev, (n, nu)
     return worst <= EXACT_ATOL, (
@@ -127,7 +123,7 @@ def _decode_closed_form_gap(seed: int) -> float:
         rows = _random_unit_rows(seed, n, 100)
         weights = unit_norm_weights(rows, "random rows")
         for nu in NU_GRID_FINE:
-            family = measurement_family(n, nu)
+            family = MeasurementFamily.from_nu(n, nu)
             ops = np.stack([family.operator(i) for i in range(n)])
             # raw[i, r] = Q_i rows[r]; summing over the contiguous last axis
             # matches ||Q psi||^2 of tests/oracles.py's apply_and_normalize
@@ -209,9 +205,9 @@ def check_fidelity_collapse(seed: int) -> Verdict:
     worst = 0.0
     for n in (2, 4, 16):
         rows = _random_unit_rows(seed, n, 50)
-        for row, weights in zip(rows, unit_norm_weights(rows, "random rows")):
-            quartic = float(np.sum(np.abs(row) ** 4))
-            worst = max(worst, abs(average_fidelity(weights, 1.0) - quartic))
+        quartic = np.sum(np.abs(rows) ** 4, axis=-1)
+        fidelity = average_fidelity(unit_norm_weights(rows, "random rows"), 1.0)
+        worst = max(worst, float(np.max(np.abs(fidelity - quartic))))
     passed &= worst <= EXACT_ATOL
     details.append(f"max |fidelity - sum |c|^4| = {_fmt(worst)} on random rows")
 
@@ -347,10 +343,12 @@ def _guarded(number: int, key: str, description: str, check, *args) -> ClaimResu
 def run_claims(seed: int = 42, trials: int = 100_000) -> list[ClaimResult]:
     """Run every claim check; deterministic for fixed (seed, trials).
 
-    Out-of-range seed or trials raise UsageError before any check runs,
-    so they are never reported as refuted claims.
+    Out-of-range seed or trials, or a malformed dimension cap, raise
+    UsageError before any check runs, so they are never reported as
+    refuted claims.
     """
     check_trials_and_seed(trials, seed)
+    max_dim()
     _experiment.cache_clear()
     # built per call, not at import, so that a check_* replaced on the
     # module (a test double, a timing wrapper) is the one that runs

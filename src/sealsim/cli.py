@@ -41,11 +41,6 @@ DEFAULT_SEED = 42
 MAX_GRID_POINTS = 100_001
 
 
-def _sig(value: float) -> str:
-    """12-significant-digit, locale-independent number formatting."""
-    return format(float(value), ".12g")
-
-
 def _add_seal_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bits", help="message bit string for a product seal")
     parser.add_argument(
@@ -235,8 +230,8 @@ def _decode_matrix_json(probs: np.ndarray, nu: float) -> Iterator[str]:
 def _decode_matrix_csv(probs: np.ndarray) -> Iterator[str]:
     """The CSV lines of the decode matrix, one matrix row at a time.
 
-    "%.12g" % x is the text _sig(x) gives; one format string per matrix
-    formats a whole row and its sum in a single operation.
+    Every CSV number is "%.12g": 12 significant digits, dot decimal.  One
+    format string per matrix formats a whole row and its sum at once.
     """
     yield ",".join(f"p{i}" for i in range(len(probs))) + ",row_sum\n"
     line = ",".join(["%.12g"] * (probs.shape[1] + 1)) + "\n"
@@ -262,7 +257,8 @@ def _cmd_sweep(args) -> int:
     if args.format == "json":
         text = json.dumps([dict(zip(columns, row)) for row in rows], indent=2)
     else:
-        text = "\n".join([",".join(columns)] + [",".join(map(_sig, row)) for row in rows])
+        line = ",".join(["%.12g"] * len(columns))
+        text = "\n".join([",".join(columns)] + [line % row for row in rows])
     _emit_parts((text, "\n"), args.out)
     return 0
 

@@ -23,21 +23,21 @@ class ResourceError(RuntimeError):
 
 
 def max_dim() -> int:
-    """Current dense-dimension cap (overridable via SEALSIM_MAX_DIM)."""
+    """Current dense-dimension cap; a malformed SEALSIM_MAX_DIM raises UsageError."""
     raw = os.environ.get(MAX_DIM_ENV_VAR)
     if raw is None:
         return DEFAULT_MAX_DIM
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ResourceError(f"{MAX_DIM_ENV_VAR} must be an integer, got {raw!r}") from exc
+        raise UsageError(f"{MAX_DIM_ENV_VAR} must be an integer, got {raw!r}") from exc
     if value < 2:
-        raise ResourceError(f"{MAX_DIM_ENV_VAR} must be at least 2, got {value}")
+        raise UsageError(f"{MAX_DIM_ENV_VAR} must be at least 2, got {value}")
     return value
 
 
 def check_dim(n: int) -> int:
-    """Raise ResourceError if an N-dimensional dense problem exceeds the cap."""
+    """Raise ResourceError if an array sized by a caller-given N would exceed the cap."""
     cap = max_dim()
     if n > cap:
         raise ResourceError(

@@ -50,8 +50,8 @@ from typing import Union
 
 import numpy as np
 
-from .attacks import MeasurementFamily, _GuideTable, _cumulative, measurement_family
-from .errors import UsageError, ValidationError, check_dim, check_unit_interval, unit_norm_weights
+from .attacks import MeasurementFamily, _GuideTable, _cumulative
+from .errors import UsageError, ValidationError, check_unit_interval, unit_norm_weights
 from .seals import OverlapMatrix, ProductSealSpec, product_seal
 
 GENERATOR_NAME = "philox4x64"
@@ -71,7 +71,6 @@ class ExplicitSealSpec:
         # a negative message would index a row from the end
         if not 0 <= self.message < self.overlaps.dim:
             raise UsageError(f"message {self.message} out of range for dim {self.overlaps.dim}")
-        check_dim(self.overlaps.dim)
 
     def describe(self) -> dict:
         return {"type": "general", "dim": self.overlaps.dim, "message": self.message}
@@ -218,7 +217,7 @@ def run_experiment(config: ExperimentConfig) -> EmpiricalStats:
     n = len(weights)
 
     if isinstance(config.strategy, FamilyStrategy):
-        family = measurement_family(n, config.strategy.nu)
+        family = MeasurementFamily.from_nu(n, config.strategy.nu)
         probs, pass_probs = _family_tables(weights, family)
         sample = _GuideTable(_cumulative(probs))
 

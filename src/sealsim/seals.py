@@ -198,6 +198,8 @@ def _malformed_overlap_file(path):
     """Raise a ValueError or OverflowError from reading path's JSON as ValidationError."""
     try:
         yield
+    except UsageError:
+        raise  # a malformed SEALSIM_MAX_DIM is not a fault of the file
     except (ValueError, OverflowError) as exc:
         # not UTF-8 JSON, wrong keys or 'dim', ragged or non-numeric 'rows'
         raise ValidationError(f"{path}: malformed overlap file: {exc!r}") from exc

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from sealsim.attacks import MeasurementFamily, _cumulative, _sample_index, measurement_family
+from sealsim.attacks import MeasurementFamily, _cumulative, _sample_index
 from sealsim.errors import UsageError, check_unit_interval, unit_norm_weights
 from sealsim.montecarlo import (
     DRAWS_PER_ROUND,
@@ -226,7 +226,7 @@ def replay_experiment(config: ExperimentConfig) -> EmpiricalStats:
 
     family: MeasurementFamily | None = None
     if isinstance(config.strategy, FamilyStrategy):
-        family = measurement_family(n, config.strategy.nu)
+        family = MeasurementFamily.from_nu(n, config.strategy.nu)
 
     counts = np.zeros(n, dtype=np.int64)
     passes = 0

@@ -15,7 +15,7 @@ import pytest
 from oracles import apply_and_normalize
 from sealsim import claims
 from sealsim.analysis import decode_probabilities
-from sealsim.attacks import measurement_family
+from sealsim.attacks import MeasurementFamily
 from sealsim.cli import main
 from sealsim.errors import unit_norm_weights
 from sealsim.montecarlo import run_experiment
@@ -209,7 +209,7 @@ def dense_loop_gap(seed: int) -> float:
     for n in (2, 4, 16):
         for row in claims._random_unit_rows(seed, n, 100):
             for nu in claims.NU_GRID_FINE:
-                family = measurement_family(n, nu)
+                family = MeasurementFamily.from_nu(n, nu)
                 closed = decode_probabilities(unit_norm_weights(row, "row"), nu)
                 for i in range(n):
                     prob, _ = apply_and_normalize(family.operator(i), row)

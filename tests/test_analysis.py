@@ -13,7 +13,7 @@ from sealsim.analysis import (
     mutual_information,
     tradeoff_sweep,
 )
-from sealsim.attacks import measurement_family
+from sealsim.attacks import MeasurementFamily
 from sealsim.errors import UsageError, ValidationError, unit_norm_weights
 from sealsim.montecarlo import ExperimentConfig, FamilyStrategy, chi_square_check, run_experiment
 from sealsim.seals import OverlapMatrix, ProductSealSpec, overlap_matrix
@@ -66,7 +66,7 @@ class TestDecodeMatrix:
                 raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 row = raw / np.linalg.norm(raw)
                 for nu in np.linspace(0, 1, 11):
-                    family = measurement_family(n, nu)
+                    family = MeasurementFamily.from_nu(n, nu)
                     closed = decode_probabilities(weights_of(row), nu)
                     for i in range(n):
                         prob, _ = apply_and_normalize(family.operator(i), row)

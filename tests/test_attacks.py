@@ -8,7 +8,6 @@ from sealsim.attacks import (
     MeasurementFamily,
     coin_toss_escape_probability,
     coin_toss_probabilities,
-    measurement_family,
 )
 from sealsim.errors import ResourceError, UsageError, ValidationError, unit_norm_weights
 from sealsim.seals import OverlapMatrix, ProductSealSpec, product_seal
@@ -45,7 +44,7 @@ class TestFromNu:
             MeasurementFamily.from_nu(1, 0.5)
 
     def test_no_dimension_cap(self, monkeypatch):
-        # the cap belongs to measurement_family, which expands operators
+        # two coefficients allocate nothing; the cap guards operator()
         monkeypatch.setenv("SEALSIM_MAX_DIM", "8")
         family = MeasurementFamily.from_nu(16, 0.5)
         assert (family.dim, family.nu) == (16, 0.5)
@@ -53,14 +52,14 @@ class TestFromNu:
 
 class TestMeasurementFamily:
     def test_nu_one_is_projector(self):
-        family = measurement_family(3, 1.0)
+        family = MeasurementFamily.from_nu(3, 1.0)
         op = family.operator(1)
         expected = np.zeros((3, 3))
         expected[1, 1] = 1.0
         assert np.allclose(op, expected, atol=ATOL)
 
     def test_nu_zero_is_scaled_identity(self):
-        family = measurement_family(4, 0.0)
+        family = MeasurementFamily.from_nu(4, 0.0)
         assert np.allclose(
             family.operator(2), math.sqrt(0.25) * np.eye(4), atol=ATOL
         )
@@ -68,14 +67,14 @@ class TestMeasurementFamily:
     @pytest.mark.parametrize("n", [2, 4, 16, 256])
     @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_completeness(self, n, nu):
-        assert measurement_family(n, nu).completeness_deviation() <= ATOL
+        assert MeasurementFamily.from_nu(n, nu).completeness_deviation() <= ATOL
 
     def test_completeness_paths_agree(self):
         # the dense path (n <= 128) must match a manual structured
         # accumulation of a^2 I + (2ab + b^2)|i><i|; they differ only by
         # the rounding order of the n-term sum
         for n in (2, 16, 64):
-            family = measurement_family(n, 0.3)
+            family = MeasurementFamily.from_nu(n, 0.3)
             a, b = family.a, family.b
             diag = np.full(n, n * a * a) + (2 * a * b + b * b)
             manual = float(np.max(np.abs(diag - 1.0)))
@@ -83,7 +82,7 @@ class TestMeasurementFamily:
 
     def test_structured_apply_matches_dense(self):
         for n in (2, 4, 16):
-            family = measurement_family(n, 0.7)
+            family = MeasurementFamily.from_nu(n, 0.7)
             for trial in range(100):
                 state = random_state(n, seed=n * 1000 + trial)
                 i = trial % n
@@ -93,7 +92,7 @@ class TestMeasurementFamily:
                 assert np.max(np.abs(post_fast - post_dense)) <= ATOL
 
     def test_outcome_probabilities_match_apply(self):
-        family = measurement_family(4, 0.4)
+        family = MeasurementFamily.from_nu(4, 0.4)
         state = random_state(4, seed=11)
         probs = family.outcome_probabilities(unit_norm_weights(state, "state"))
         for i in range(4):
@@ -101,12 +100,14 @@ class TestMeasurementFamily:
         assert abs(probs.sum() - 1.0) <= ATOL
 
     def test_dimension_cap(self, monkeypatch):
+        # the dense N x N expansion is sized by the family's N
         monkeypatch.setenv("SEALSIM_MAX_DIM", "8")
+        family = MeasurementFamily.from_nu(16, 0.5)
         with pytest.raises(ResourceError):
-            measurement_family(16, 0.5)
+            family.operator(0)
 
     def test_operator_index_range(self):
-        family = measurement_family(2, 0.5)
+        family = MeasurementFamily.from_nu(2, 0.5)
         with pytest.raises(UsageError):
             family.operator(2)
 
@@ -114,7 +115,7 @@ class TestMeasurementFamily:
 class TestRunAttack:
     def test_nu_zero_leaves_state_and_guesses_uniformly(self):
         sealed = product_seal(ProductSealSpec.shared_theta("01", math.pi / 6))
-        family = measurement_family(4, 0.0)
+        family = MeasurementFamily.from_nu(4, 0.0)
         rng = np.random.default_rng(3)
         counts = np.zeros(4)
         for _ in range(2000):
@@ -126,7 +127,7 @@ class TestRunAttack:
 
     def test_nu_one_on_perfect_seal_reads_exactly(self):
         sealed = OverlapMatrix.identity(4).coefficients[2]
-        family = measurement_family(4, 1.0)
+        family = MeasurementFamily.from_nu(4, 1.0)
         rng = np.random.default_rng(5)
         for _ in range(50):
             outcome = run_attack(sealed, family, rng)
@@ -135,7 +136,7 @@ class TestRunAttack:
 
     def test_decode_frequencies_track_closed_form(self):
         sealed = product_seal(ProductSealSpec.shared_theta("0", math.pi / 6))
-        family = measurement_family(2, 0.5)
+        family = MeasurementFamily.from_nu(2, 0.5)
         rng = np.random.default_rng(99)
         trials = 20_000
         hits = sum(run_attack(sealed, family, rng).decoded == 0 for _ in range(trials))
@@ -145,12 +146,12 @@ class TestRunAttack:
     def test_dimension_mismatch(self):
         sealed = product_seal(ProductSealSpec.shared_theta("0", 0.0))
         with pytest.raises(UsageError):
-            run_attack(sealed, measurement_family(4, 0.5), np.random.default_rng(0))
+            run_attack(sealed, MeasurementFamily.from_nu(4, 0.5), np.random.default_rng(0))
 
     def test_post_states_average_fidelity_at_nu_half(self):
         # the nu = 1/2 escape floor, sampled
         sealed = product_seal(ProductSealSpec.shared_theta("010", math.pi / 6))
-        family = measurement_family(8, 0.5)
+        family = MeasurementFamily.from_nu(8, 0.5)
         rng = np.random.default_rng(17)
         trials = 4000
         total = sum(

@@ -16,7 +16,6 @@ from sealsim.cli import (
     _decode_matrix_json,
     _load_lambda_file,
     _parse_grid,
-    _sig,
     main,
 )
 from sealsim.errors import ResourceError, ValidationError
@@ -155,7 +154,9 @@ class TestDecodeMatrix:
             # every rotation, so each value sits in every column and some rows sum to inf or nan
             probs = np.array([np.roll(special, k) for k in range(len(special))])
         expected = [",".join(f"p{i}" for i in range(len(probs))) + ",row_sum\n"]
-        expected += [",".join(map(_sig, row.tolist())) + "," + _sig(row.sum()) + "\n" for row in probs]
+        expected += [
+            ",".join(format(v, ".12g") for v in [*row.tolist(), row.sum()]) + "\n" for row in probs
+        ]
         assert list(_decode_matrix_csv(probs)) == expected
 
     def test_out_file(self, capsys, tmp_path):
@@ -761,12 +762,38 @@ class TestResourceLimit:
         assert "resource error" in err
         assert out == ""
 
-    def test_claims_under_resource_limit_exits_3(self, capsys, monkeypatch):
-        # the claims grid reaches N = 4096; a lower cap is an environment
+    @pytest.mark.parametrize("cap", ["8", "1023"])
+    def test_claims_under_resource_limit_exits_3(self, capsys, monkeypatch, cap):
+        # claim 6 builds a 1024-entry seal row; a lower cap is an environment
         # problem (exit 3), not a refuted claim (exit 1)
-        monkeypatch.setenv("SEALSIM_MAX_DIM", "8")
+        monkeypatch.setenv("SEALSIM_MAX_DIM", cap)
         code, _, err = run_cli(capsys, "claims", "--trials", "50")
         assert code == 3 and "resource" in err
+
+    def test_claims_fit_a_cap_of_1024(self, capsys, monkeypatch):
+        # claim 1 reaches N = 4096 with two coefficients, no array
+        monkeypatch.delenv("SEALSIM_MAX_DIM", raising=False)
+        uncapped = run_cli(capsys, "claims", "--trials", "1000")
+        monkeypatch.setenv("SEALSIM_MAX_DIM", "1024")
+        assert run_cli(capsys, "claims", "--trials", "1000") == uncapped
+        assert uncapped[0] == 0
+
+    @pytest.mark.parametrize("value", ["abc", "1", ""])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--bits", "01", "--theta", "0.3"),
+            ("sweep", "--lambda-file", str(DATA / "random16.json")),
+            ("claims", "--trials", "50"),
+        ],
+        ids=["sweep", "sweep-lambda-file", "claims"],
+    )
+    def test_a_malformed_cap_exits_2(self, capsys, monkeypatch, value, argv):
+        # a bad setting is bad input, not a resource limit
+        monkeypatch.setenv("SEALSIM_MAX_DIM", value)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: SEALSIM_MAX_DIM must be")
 
 
 class TestClaims:

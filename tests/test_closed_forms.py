@@ -48,11 +48,11 @@ from sealsim.analysis import (
     tradeoff_sweep,
 )
 from sealsim.attacks import (
+    MeasurementFamily,
     _cumulative,
     _GuideTable,
     _sample_index,
     coin_toss_probabilities,
-    measurement_family,
 )
 from sealsim.claims import THETA_GRID, seal_suite
 from sealsim.errors import UsageError, unit_norm_weights
@@ -180,7 +180,7 @@ class TestOracles:
         for message in range(0, om.dim, max(1, om.dim // 4)):
             sealed = om.coefficients[message]
             for nu in (0.0, 0.37, 0.5, 0.9, 1.0):
-                family = measurement_family(om.dim, nu)
+                family = MeasurementFamily.from_nu(om.dim, nu)
                 probs, pass_probs = _family_tables(om.weights[message], family)
                 for i in range(om.dim):
                     prob, post = family_apply(family, i, sealed)
@@ -249,7 +249,7 @@ class TestOracles:
     @pytest.mark.parametrize("nu", (0.0, 0.25, 0.3, 0.5, 0.75, 1.0))
     def test_completeness_matches_structured_accumulation(self, nu):
         n = 256
-        family = measurement_family(n, nu)
+        family = MeasurementFamily.from_nu(n, nu)
         a, b = family.a, family.b
         diagonal = np.zeros(n)
         for i in range(n):

@@ -44,7 +44,6 @@ PUBLIC = [
     "flat_posterior_masses",
     "format_report",
     "load_overlap_matrix",
-    "measurement_family",
     "mutual_information",
     "overlap_matrix",
     "product_seal",
@@ -87,6 +86,8 @@ REMOVED = [
     ("analysis", "_average_fidelities"),
     ("attacks", "AttackCoefficients"),
     ("montecarlo", "_chi_square_critical"),
+    ("attacks", "measurement_family"),
+    ("cli", "_sig"),
 ]
 
 MOVED_METHODS = [
@@ -97,7 +98,7 @@ MOVED_METHODS = [
 
 def test_all_is_the_pruned_list():
     assert sealsim.__all__ == PUBLIC
-    assert len(PUBLIC) == 34
+    assert len(PUBLIC) == 33
 
 
 def test_every_listed_name_imports():
@@ -151,9 +152,10 @@ def test_decode_matrix_is_a_read_only_array():
 
 
 def test_measurement_family_holds_its_coefficients():
-    family = sealsim.measurement_family(4, 0.5)
+    family = sealsim.MeasurementFamily.from_nu(4, 0.5)
     assert [f.name for f in dataclasses.fields(family)] == ["nu", "dim", "a", "b"]
-    assert family == sealsim.MeasurementFamily.from_nu(4, 0.5)
+    assert (family.nu, family.dim) == (0.5, 4)
+    assert (family.a, family.b) == (0.125**0.5, 0.625**0.5 - 0.125**0.5)
 
 
 @pytest.mark.parametrize("cls, attr", MOVED_METHODS, ids=[".".join(p) for p in MOVED_METHODS])

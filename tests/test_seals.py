@@ -8,7 +8,7 @@ import pytest
 
 from oracles import unit_row, verify_seal
 from sealsim.errors import ResourceError, UsageError, ValidationError
-from sealsim.montecarlo import ExperimentConfig, ExplicitSealSpec, FamilyStrategy
+from sealsim.montecarlo import ExperimentConfig, ExplicitSealSpec, FamilyStrategy, run_experiment
 from sealsim.seals import (
     OverlapMatrix,
     ProductSealSpec,
@@ -233,11 +233,14 @@ class TestExplicitSealRow:
         with pytest.raises(ValueError):
             explicit_row(OverlapMatrix.identity(2), 0)[0] = 0.5
 
-    def test_dimension_cap(self, monkeypatch):
+    def test_no_dimension_cap(self, monkeypatch):
+        # the matrix already exists and the MC allocates O(N) beside it
         om = OverlapMatrix.identity(16)
         monkeypatch.setenv("SEALSIM_MAX_DIM", "8")
-        with pytest.raises(ResourceError):
-            ExplicitSealSpec(overlaps=om, message=0)
+        seal = ExplicitSealSpec(overlaps=om, message=3)
+        config = ExperimentConfig(seal=seal, strategy=FamilyStrategy(nu=1.0), trials=100, seed=0)
+        stats = run_experiment(config)
+        assert stats.decode_counts[3] == stats.pass_count == 100
 
 
 class TestVerify:
