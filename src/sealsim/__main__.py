@@ -15,12 +15,19 @@ command, though no command hashes with it.  So before it imports the
 CLI, the entry marks `_hashlib` as missing, and `hmac` and `hashlib`
 fall back to CPython's built-in hash modules.  It does so only where all
 of those are present, since `hashlib` logs an error for each one it
-lacks, and never replaces an `_hashlib` already imported.  numpy 1.x
-imports `numpy.random` with numpy itself, so there the package has
-loaded `_hashlib` before the entry runs.
+lacks, and never replaces an `_hashlib` already imported.
+
+numpy's OpenBLAS starts a pool of worker threads when numpy is imported,
+one per core unless a BLAS thread variable says otherwise.  No command
+needs it (the largest matrix product is 16 x 16), and the idle pool adds
+about 40% to a command's CPU time.  So the entry defaults those
+variables to 1 before the CLI imports numpy; a value the user set wins.
+The package imports its modules lazily, so numpy is not loaded before
+`run()` when the entry is `python -m sealsim` or the console script.
 """
 
 import gc
+import os
 import sys
 from importlib.util import find_spec
 
@@ -34,6 +41,8 @@ _BUILTIN_HASHES = (
 
 def run() -> None:
     """Run the command in sys.argv and exit with its code."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     if all(find_spec(name) is not None for name in _BUILTIN_HASHES):
         sys.modules.setdefault("_hashlib", None)
     from .cli import main

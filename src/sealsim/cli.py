@@ -126,11 +126,13 @@ def _read_entry(entry: str, dim: int) -> OverlapMatrix | None:
 
 
 def _write_entry(entry: str, coefficients: np.ndarray) -> None:
-    """Cache coefficients at entry, the one file left in its directory.
+    """Cache coefficients at entry, beside the newest other entry only.
 
-    The file is written under a temporary name and renamed, so a reader
-    never sees it half written.  If the directory cannot be written the
-    matrix is not cached, silently.
+    So two files that alternate both stay cached, and the directory holds
+    at most two matrices; every other file in it, a stale temporary one
+    too, is removed.  The file is written under a temporary name and
+    renamed, so a reader never sees it half written.  If the directory
+    cannot be written the matrix is not cached, silently.
     """
     directory, name = os.path.split(entry)
     temp = f"{entry}.{os.getpid()}.tmp"
@@ -139,17 +141,19 @@ def _write_entry(entry: str, coefficients: np.ndarray) -> None:
         with open(temp, "wb") as fh:
             np.lib.format.write_array(fh, coefficients, version=(1, 0), allow_pickle=False)
         os.replace(temp, entry)
-        for other in os.listdir(directory):
-            if other != name:
+        others = [os.path.join(directory, n) for n in os.listdir(directory) if n != name]
+        newest = max((p for p in others if p.endswith(".npy")), key=os.path.getmtime, default=None)
+        for other in others:
+            if other != newest:
                 with contextlib.suppress(OSError):
-                    os.unlink(os.path.join(directory, other))
+                    os.unlink(other)
     except OSError:
         with contextlib.suppress(OSError):
             os.unlink(temp)
 
 
 def _load_lambda_file(path) -> OverlapMatrix:
-    """seals.load_overlap_matrix(path), reusing the matrix last loaded from the same bytes.
+    """seals.load_overlap_matrix(path), reusing a matrix cached from the same bytes.
 
     A command in a fresh process would otherwise parse the numbers of a
     file it loaded before again.  "dim" is checked against the cap before
@@ -375,7 +379,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    # `python -m sealsim.cli` runs the one entry that `python -m sealsim` runs
+    # `python -m sealsim.cli` runs the one entry that `python -m sealsim` runs, but
+    # only after this module imported numpy, too late for the BLAS thread defaults
     from .__main__ import run
 
     run()

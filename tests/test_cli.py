@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -590,16 +591,30 @@ class TestLambdaFileCache:
         assert capsys.readouterr() == ("", "")
         assert left == ([home / "sealsim"] if kind == "read-only" else [])  # nothing cached
 
-    def test_two_files_leave_one_entry(self, cache, json_loads_calls):
+    def test_two_files_that_alternate_are_parsed_once_each(self, cache, json_loads_calls):
+        for name in ("random16.json", "sparse16.json") * 2:
+            _load_lambda_file(DATA / name)
+        assert json_loads_calls[0] == 2 * 2 + 2  # two misses, then two hits that read the head
+        assert len(entries(cache)) == 2
+
+    def test_a_third_file_evicts_the_oldest_entry(self, cache, json_loads_calls):
         _load_lambda_file(DATA / "random16.json")
-        (first,) = entries(cache)
+        (oldest,) = entries(cache)
+        # a second older than the next entry, whatever the grain of the file clock
+        os.utime(oldest, ns=(oldest.stat().st_mtime_ns - 10**9,) * 2)
         _load_lambda_file(DATA / "sparse16.json")
-        (second,) = entries(cache)
-        assert second != first
+        (newer,) = set(entries(cache)) - {oldest}
+        stale = cache / f"{oldest.name}.123.tmp"  # left by a writer that died
+        stale.write_bytes(b"")
+        _load_lambda_file(DATA / "random64.json")
+        (newest,) = set(entries(cache)) - {newer}
+        assert newest != oldest and not stale.exists()
         before = json_loads_calls[0]
+        _load_lambda_file(DATA / "sparse16.json")
+        assert json_loads_calls[0] - before == 1  # still cached
         _load_lambda_file(DATA / "random16.json")
-        assert json_loads_calls[0] - before == 2  # evicted, so parsed again
-        assert entries(cache) == [first]
+        assert json_loads_calls[0] - before == 1 + 2  # evicted, so parsed again
+        assert oldest in entries(cache) and len(entries(cache)) == 2
 
     @pytest.mark.parametrize(
         "edit",
@@ -631,8 +646,7 @@ class TestLambdaFileCache:
         monkeypatch.setattr(module, "__file__", str(changed))
         _load_lambda_file(path)
         assert json_loads_calls[0] == 4  # parsed again
-        (newer,) = entries(cache)
-        assert newer != older
+        (newer,) = set(entries(cache)) - {older}
 
 
 IMPORT_PROBE = """
@@ -849,40 +863,64 @@ runpy.run_module("sealsim", run_name="__main__", alter_sys=True)
 """
 
 IN_PROCESS_PROBE = """
-import gc
-before = gc.get_freeze_count()
+import gc, os
+before, environ = gc.get_freeze_count(), dict(os.environ)
 import sealsim, sealsim.__main__
 from sealsim import cli
 assert cli.main(["sweep", "--bits", "01", "--theta", "0.3"]) == 0
 assert gc.isenabled()
 assert gc.get_freeze_count() == before, (before, gc.get_freeze_count())
+assert dict(os.environ) == environ  # only the entry sets the BLAS defaults
 """
 
-ENTRY_HASHLIB_PROBE = """
-import atexit, json, runpy, sys
+ENTRY_PROBE = """
+import atexit, json, os, runpy, sys
 
 report, module, setup = sys.argv.pop(1), sys.argv.pop(1), sys.argv.pop(1)
 exec(setup)
-import numpy
+numpy_import = {}
 
-# numpy 1.x imports numpy.random, and with it _hashlib, when numpy is imported
-eager = "numpy.random" in sys.modules
+
+# records whether the entry's run() is on the stack when numpy is first imported
+class FirstNumpyImport:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            sys.meta_path.remove(self)
+            frame = sys._getframe()
+            while frame and (frame.f_code.co_name, os.path.basename(frame.f_code.co_filename)) != (
+                "run", "__main__.py"
+            ):
+                frame = frame.f_back
+            numpy_import["in_run"] = frame is not None
+        return None
 
 
 def write_report():
     try:
         with open("/proc/self/maps") as fh:
             libcrypto = "libcrypto" in fh.read()
+        with open("/proc/self/status") as fh:
+            threads = int(next(line for line in fh if line.startswith("Threads:")).split()[1])
     except OSError:
-        libcrypto = None
+        libcrypto = threads = None
     if "_hashlib" not in sys.modules:
         state = "absent"
     else:
         state = "blocked" if sys.modules["_hashlib"] is None else "loaded"
     with open(report, "w") as fh:
-        json.dump({"eager": eager, "libcrypto": libcrypto, "_hashlib": state}, fh)
+        json.dump(
+            {
+                "libcrypto": libcrypto,
+                "_hashlib": state,
+                "threads": threads,
+                "numpy_in_run": numpy_import.get("in_run"),
+                "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            },
+            fh,
+        )
 
 
+sys.meta_path.insert(0, FirstNumpyImport())
 atexit.register(write_report)
 runpy.run_module(module, run_name="__main__", alter_sys=True)
 """
@@ -896,18 +934,40 @@ import _hashlib
 
 MC_COMMAND = ("mc-validate", "--bits", "0110", "--theta", "0.5", "--nu", "0.5")
 SMALL_CLAIMS = ("claims", "--trials", "1000")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_entry_probe(tmp_path, command, module="sealsim", setup=""):
-    """Run command through the entry under ENTRY_HASHLIB_PROBE: the result and the report."""
+def unpinned_env(**extra) -> dict:
+    """os.environ without the BLAS thread variables, as a plain shell has it, plus extra."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    return {**env, **extra}
+
+
+def run_entry_probe(tmp_path, command, module="sealsim", setup="", **env):
+    """Run command through the entry under ENTRY_PROBE: the result and the report.
+
+    The probe imports nothing of numpy or sealsim before the entry runs,
+    and the BLAS thread variables are unset unless env sets them.
+    """
     report = tmp_path / "report.json"
     result = subprocess.run(
-        [sys.executable, "-c", ENTRY_HASHLIB_PROBE, str(report), module, setup, *command],
+        [sys.executable, "-c", ENTRY_PROBE, str(report), module, setup, *command],
         capture_output=True,
         text=True,
+        env=unpinned_env(**env),
         timeout=300,
     )
     return result, json.loads(report.read_text())
+
+
+@functools.cache
+def numpy_imports_random_eagerly() -> bool:
+    """Whether `import numpy` imports numpy.random, and with it _hashlib, as numpy 1.x does."""
+    probe = "import sys, numpy; print('numpy.random' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=120
+    )
+    return result.stdout.strip() == "True"
 
 
 # more output than a pipe holds, so the writer is still writing when the reader goes
@@ -980,9 +1040,37 @@ class TestEntry:
     def test_the_command_never_maps_libcrypto(self, tmp_path, module, command):
         result, report = run_entry_probe(tmp_path, command, module)
         assert (result.returncode, result.stderr) == (0, "")
-        if report["eager"]:
-            pytest.skip("this numpy imports numpy.random, and _hashlib, before the entry runs")
-        assert report == {"eager": False, "libcrypto": False, "_hashlib": "blocked"}
+        # `-m sealsim.cli` imports numpy, and on numpy 1.x _hashlib, before the entry runs
+        if module == "sealsim.cli" and numpy_imports_random_eagerly():
+            pytest.skip("this numpy imports numpy.random, and _hashlib, with numpy")
+        assert (report["libcrypto"], report["_hashlib"]) == (False, "blocked")
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+    @pytest.mark.parametrize("command", [SMALL_CLAIMS, MC_COMMAND], ids=" ".join)
+    def test_the_command_runs_on_one_thread(self, tmp_path, command):
+        result, report = run_entry_probe(tmp_path, command)
+        assert (result.returncode, result.stderr) == (0, "")
+        # numpy, and OpenBLAS's pool with it, starts after run() set the BLAS defaults
+        assert report["numpy_in_run"] is True
+        assert (report["threads"], report["OPENBLAS_NUM_THREADS"]) == (1, "1")
+
+    def test_a_blas_thread_count_the_user_set_wins(self, tmp_path):
+        result, report = run_entry_probe(tmp_path, MC_COMMAND, OPENBLAS_NUM_THREADS="2")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert report["OPENBLAS_NUM_THREADS"] == "2"
+
+    @pytest.mark.parametrize("command", [SMALL_CLAIMS, MC_COMMAND], ids=" ".join)
+    def test_the_blas_defaults_change_no_output_byte(self, command):
+        pinned, unpinned = (
+            subprocess.run(
+                [sys.executable, "-m", "sealsim", *command], capture_output=True, env=env, timeout=300
+            )
+            for env in (unpinned_env(**dict.fromkeys(BLAS_THREAD_VARS, "1")), unpinned_env())
+        )
+        assert (unpinned.returncode, unpinned.stderr) == (0, b"")
+        assert (pinned.returncode, pinned.stdout, pinned.stderr) == (
+            unpinned.returncode, unpinned.stdout, unpinned.stderr
+        )
 
     def test_a_missing_builtin_hash_leaves_hashlib_alone(self, tmp_path):
         plain = subprocess.run(

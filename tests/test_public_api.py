@@ -1,9 +1,10 @@
 """The package's public surface, and the reference paths kept out of it.
 
 The dense and round-by-round forms that no command runs live in
-`tests/oracles.py`.  These tests pin `sealsim.__all__` and check that
-those forms, and the wrapper types and helpers that plain arrays and
-checked weights replaced, stay out of the runtime modules.
+`tests/oracles.py`.  These tests pin `sealsim.__all__`, check that the
+package resolves each name lazily, and check that those forms, and the
+wrapper types and helpers that plain arrays and checked weights
+replaced, stay out of the runtime modules.
 """
 
 import dataclasses
@@ -99,6 +100,52 @@ MOVED_METHODS = [
 def test_all_is_the_pruned_list():
     assert sealsim.__all__ == PUBLIC
     assert len(PUBLIC) == 33
+
+
+def fresh_python(probe: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("module", ["sealsim", "sealsim.__main__"])
+def test_importing_the_package_or_the_entry_loads_no_numpy(module):
+    # the entry sets the BLAS thread defaults before numpy starts its pool
+    result = fresh_python(f"import sys, {module}; assert 'numpy' not in sys.modules")
+    assert result.returncode == 0, result.stderr
+
+
+def test_each_name_is_its_defining_module_s_and_is_kept():
+    probe = (
+        "import sys, sealsim\n"
+        "for name in sealsim.__all__:\n"
+        "    value = getattr(sealsim, name)\n"
+        "    assert value.__module__.startswith('sealsim.'), name\n"
+        "    assert getattr(sys.modules[value.__module__], name) is value, name\n"
+        "    assert vars(sealsim)[name] is value, name\n"
+    )
+    result = fresh_python(probe)
+    assert result.returncode == 0, result.stderr
+
+
+def test_dir_lists_every_name_before_it_is_used():
+    result = fresh_python("import sealsim; print(' '.join(dir(sealsim)))")
+    assert result.returncode == 0, result.stderr
+    assert set(PUBLIC) <= set(result.stdout.split())
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'decode_matrices'"):
+        sealsim.decode_matrices
+    assert not hasattr(sealsim, "measurement_family")
+
+
+def test_the_cli_imports_every_layer():
+    # a tracer that wraps the layers reads them from sys.modules after importing the CLI
+    layers = ("seals", "attacks", "analysis", "montecarlo", "claims", "cli")
+    probe = f"import sys, sealsim.cli; assert all(f'sealsim.{{m}}' in sys.modules for m in {layers})"
+    result = fresh_python(probe)
+    assert result.returncode == 0, result.stderr
 
 
 def test_every_listed_name_imports():
