@@ -1,4 +1,5 @@
-"""The command-line entry: `python -m sealsim` and the `sealsim` console script.
+"""The command-line entry: `python -m sealsim`, `python -m sealsim.cli` and the
+`sealsim` console script.
 
 Each command runs in a short-lived process.  At exit, the interpreter's
 finalization runs full cyclic-GC passes over every tracked object, most
@@ -22,8 +23,9 @@ one per core unless a BLAS thread variable says otherwise.  No command
 needs it (the largest matrix product is 16 x 16), and the idle pool adds
 about 40% to a command's CPU time.  So the entry defaults those
 variables to 1 before the CLI imports numpy; a value the user set wins.
-The package imports its modules lazily, so numpy is not loaded before
-`run()` when the entry is `python -m sealsim` or the console script.
+The package imports its modules lazily, and `cli.py` hands over to
+`run()` before its own imports, so numpy is not loaded before `run()`
+whichever of the three starts the command.
 """
 
 import gc

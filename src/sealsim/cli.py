@@ -8,6 +8,13 @@ decimal separator and LF line endings.
 
 from __future__ import annotations
 
+if __name__ == "__main__":
+    # `python -m sealsim.cli` hands over to the one entry before this module imports
+    # anything, so numpy loads inside run(); run() imports this module as sealsim.cli
+    from .__main__ import run
+
+    run()
+
 import argparse
 import contextlib
 import dataclasses
@@ -177,6 +184,8 @@ def _seal_from_args(args) -> ProductSealSpec | OverlapMatrix:
         raise UsageError("pass exactly one seal source: --bits or --lambda-file")
     if args.bits is not None:
         return _product_spec_from_args(args)
+    if args.theta is not None or args.thetas is not None:
+        raise UsageError("--theta and --thetas apply to --bits, not to --lambda-file")
     return _load_lambda_file(args.lambda_file)
 
 
@@ -377,10 +386,3 @@ def main(argv=None) -> int:
         print("resource error: out of memory", file=sys.stderr)
         return 3
 
-
-if __name__ == "__main__":
-    # `python -m sealsim.cli` runs the one entry that `python -m sealsim` runs, but
-    # only after this module imported numpy, too late for the BLAS thread defaults
-    from .__main__ import run
-
-    run()

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import os
@@ -323,6 +322,20 @@ class TestUsageErrors:
     def test_bits_without_theta(self, capsys):
         code, _, err = run_cli(capsys, "decode-matrix", "--bits", "0", "--nu", "0.5")
         assert code == 2 and "--theta" in err
+
+    @pytest.mark.parametrize("angle", [("--theta", "0.3"), ("--thetas", "0.3,0.4")], ids=" ".join)
+    @pytest.mark.parametrize(
+        "command",
+        [("sweep",), ("decode-matrix", "--nu", "0.5"), ("mc-validate", "--nu", "0.5")],
+        ids=" ".join,
+    )
+    def test_an_angle_with_lambda_file_is_a_usage_error(self, capsys, command, angle):
+        # a --lambda-file seal has no angles, so the flag would have no effect
+        code, out, err = run_cli(
+            capsys, *command, "--lambda-file", str(DATA / "random16.json"), *angle
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--theta" in err
 
     def test_both_strategies(self, capsys):
         code, _, _ = run_cli(
@@ -881,11 +894,13 @@ exec(setup)
 numpy_import = {}
 
 
-# records whether the entry's run() is on the stack when numpy is first imported
+# records whether the entry's run() is on the stack when numpy is first imported,
+# and the __main__ module that is running then
 class FirstNumpyImport:
     def find_spec(self, name, path=None, target=None):
         if name == "numpy":
             sys.meta_path.remove(self)
+            numpy_import["main"] = sys.modules["__main__"]
             frame = sys._getframe()
             while frame and (frame.f_code.co_name, os.path.basename(frame.f_code.co_filename)) != (
                 "run", "__main__.py"
@@ -914,6 +929,8 @@ def write_report():
                 "_hashlib": state,
                 "threads": threads,
                 "numpy_in_run": numpy_import.get("in_run"),
+                # defined only if cli.py ran its body as __main__ too
+                "main_builds_parser": hasattr(numpy_import.get("main"), "build_parser"),
                 "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             },
             fh,
@@ -960,16 +977,6 @@ def run_entry_probe(tmp_path, command, module="sealsim", setup="", **env):
     return result, json.loads(report.read_text())
 
 
-@functools.cache
-def numpy_imports_random_eagerly() -> bool:
-    """Whether `import numpy` imports numpy.random, and with it _hashlib, as numpy 1.x does."""
-    probe = "import sys, numpy; print('numpy.random' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=120
-    )
-    return result.stdout.strip() == "True"
-
-
 # more output than a pipe holds, so the writer is still writing when the reader goes
 BIG_OUTPUT = (
     "decode-matrix", "--lambda-file", str(DATA / "random64.json"), "--nu", "0.5", "--format", "json"
@@ -977,7 +984,7 @@ BIG_OUTPUT = (
 
 
 class TestEntry:
-    """`python -m sealsim` and the console script: one entry that freezes the GC."""
+    """`python -m sealsim`, `python -m sealsim.cli` and the console script: one entry."""
 
     def test_the_command_exits_with_the_collector_frozen(self):
         result = subprocess.run(
@@ -1040,19 +1047,22 @@ class TestEntry:
     def test_the_command_never_maps_libcrypto(self, tmp_path, module, command):
         result, report = run_entry_probe(tmp_path, command, module)
         assert (result.returncode, result.stderr) == (0, "")
-        # `-m sealsim.cli` imports numpy, and on numpy 1.x _hashlib, before the entry runs
-        if module == "sealsim.cli" and numpy_imports_random_eagerly():
-            pytest.skip("this numpy imports numpy.random, and _hashlib, with numpy")
+        # the block precedes numpy on every numpy, also where numpy imports numpy.random
+        # (and _hashlib with it) as it loads
+        assert report["numpy_in_run"] is True
         assert (report["libcrypto"], report["_hashlib"]) == (False, "blocked")
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+    @pytest.mark.parametrize("module", ["sealsim", "sealsim.cli"])
     @pytest.mark.parametrize("command", [SMALL_CLAIMS, MC_COMMAND], ids=" ".join)
-    def test_the_command_runs_on_one_thread(self, tmp_path, command):
-        result, report = run_entry_probe(tmp_path, command)
+    def test_the_command_runs_on_one_thread(self, tmp_path, module, command):
+        result, report = run_entry_probe(tmp_path, command, module)
         assert (result.returncode, result.stderr) == (0, "")
         # numpy, and OpenBLAS's pool with it, starts after run() set the BLAS defaults
         assert report["numpy_in_run"] is True
         assert (report["threads"], report["OPENBLAS_NUM_THREADS"]) == (1, "1")
+        # `-m sealsim.cli` hands over before cli.py's body, which runs once, as sealsim.cli
+        assert report["main_builds_parser"] is False
 
     def test_a_blas_thread_count_the_user_set_wins(self, tmp_path):
         result, report = run_entry_probe(tmp_path, MC_COMMAND, OPENBLAS_NUM_THREADS="2")
@@ -1098,16 +1108,3 @@ class TestEntry:
             timeout=300,
         )
         assert result.returncode == 0, result.stderr
-
-    def test_python_m_sealsim_cli_is_the_same_entry(self):
-        command = ("claims", "--seed", "42", "--trials", "1000")
-        package, cli_module = (
-            subprocess.run(
-                [sys.executable, "-m", module, *command], capture_output=True, timeout=300
-            )
-            for module in ("sealsim", "sealsim.cli")
-        )
-        assert (package.returncode, package.stderr) == (0, b"")
-        assert (cli_module.returncode, cli_module.stdout, cli_module.stderr) == (
-            package.returncode, package.stdout, package.stderr
-        )

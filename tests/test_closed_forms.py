@@ -173,6 +173,31 @@ class TestExactFlatMass:
             assert point.flat_mass == one_minus_exact(point.nu), point.nu
 
 
+def binary_entropy_bits(p: float) -> float:
+    return sum(-x * math.log2(x) for x in (p, 1.0 - p) if x > 0.0)
+
+
+def product_seals():
+    """(angles, overlaps): the claims suite, then mixed angles that include 0 and pi/4."""
+    for m, theta, om in seal_suite():
+        yield (theta,) * m, om
+    for m in range(2, 9):
+        for seed in range(3):
+            thetas = mixed_angles(seed, m)
+            yield thetas, overlap_matrix(ProductSealSpec("01101001"[:m], thetas))
+
+
+def test_a_product_seal_read_at_full_strength_meets_the_ceilings():
+    # at nu = 1 the guess probability is the square-root measurement's success
+    # probability, optimal for these geometrically uniform states, and the MI is
+    # the per-qubit accessible information of two equiprobable pure states, summed
+    for thetas, om in product_seals():
+        (point,) = tradeoff_sweep(om, [1.0])
+        cos2 = [math.cos(theta) ** 2 for theta in thetas]
+        assert abs(point.guess_probability - math.prod(cos2)) <= 1e-12, thetas
+        accessible = sum(1.0 - binary_entropy_bits(c) for c in cos2)
+        assert abs(point.mutual_information - accessible) <= 1e-12, thetas
+
 class TestOracles:
     @pytest.mark.parametrize("name", MATRICES)
     def test_family_tables_match_per_outcome_apply(self, name):

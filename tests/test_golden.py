@@ -97,8 +97,9 @@ def test_stdout_and_exit_code_match(capsys, tmp_path, monkeypatch, golden, comma
     assert len(inodes) <= 1  # a miss in the warm run would have replaced the entry
 
 
-# one pinned command per subcommand, run as `python -m sealsim` in a fresh
-# interpreter: the entry that the console script and the benchmark run
+# one pinned command per subcommand, run in a fresh interpreter through
+# `python -m sealsim`, the entry that the console script and the benchmark
+# run, and through `python -m sealsim.cli`, which hands over to it
 ENTRY_COMMANDS = (
     ("claims", "--seed", "42", "--trials", "20000"),
     ("sweep", "--format", "json", "--lambda-file", RANDOM64),
@@ -114,28 +115,33 @@ FAILING_COMMANDS = (
 )
 
 
-def _run_module(command, tmp_path, **env) -> subprocess.CompletedProcess:
+MODULES = ("sealsim", "sealsim.cli")
+
+
+def _run_module(module, command, tmp_path, **env) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "sealsim", *_argv(command)],
+        [sys.executable, "-m", module, *_argv(command)],
         capture_output=True,
         env={**os.environ, "XDG_CACHE_HOME": str(tmp_path), **env},
         timeout=300,
     )
 
 
+@pytest.mark.parametrize("module", MODULES)
 @pytest.mark.parametrize("command", ENTRY_COMMANDS, ids=_key)
-def test_the_module_entry_prints_the_pinned_bytes(tmp_path, golden, command):
+def test_the_module_entry_prints_the_pinned_bytes(tmp_path, golden, command, module):
     expected = golden[_key(command)]
-    result = _run_module(command, tmp_path)
-    assert result.returncode == expected["exit"], result.stderr
+    result = _run_module(module, command, tmp_path)
+    assert (result.returncode, result.stderr) == (expected["exit"], b"")
     assert result.stdout == expected["stdout"].encode("utf-8")
 
 
+@pytest.mark.parametrize("module", MODULES)
 @pytest.mark.parametrize(
     "command, env, code, stderr", FAILING_COMMANDS, ids=[_key(c[0]) for c in FAILING_COMMANDS]
 )
-def test_the_module_entry_exits_with_the_error_code(tmp_path, command, env, code, stderr):
-    result = _run_module(command, tmp_path, **env)
+def test_the_module_entry_exits_with_the_error_code(tmp_path, command, env, code, stderr, module):
+    result = _run_module(module, command, tmp_path, **env)
     assert result.returncode == code
     assert result.stdout == b""
     assert result.stderr.decode("utf-8").startswith(stderr)
