@@ -28,18 +28,15 @@ from .analysis import (
     flat_posterior_masses,
     mutual_information,
 )
-from .attacks import MeasurementFamily, coin_toss_escape_probability, coin_toss_probabilities
+from .attacks import MeasurementFamily, coin_toss_probabilities
 from .errors import ResourceError, max_dim, unit_norm_weights
 from .montecarlo import (
     GENERATOR_NAME,
     CoinTossStrategy,
-    EmpiricalStats,
     ExperimentConfig,
     FamilyStrategy,
     check_trials_and_seed,
-    chi_square_check,
-    escape_band_check,
-    run_experiment,
+    validate,
 )
 from .seals import OverlapMatrix, ProductSealSpec, overlap_matrix, product_seal, product_states
 
@@ -81,14 +78,14 @@ def seal_suite():
 
 
 @cache
-def _experiment(config: ExperimentConfig) -> EmpiricalStats:
-    """run_experiment, once per config: claim 7 reuses claim 5's first run.
+def _experiment(config: ExperimentConfig) -> dict:
+    """The checks of montecarlo.validate, once per config: claim 7 reuses claim 5's first run.
 
     run_claims empties the cache as it starts, so earlier reports' runs
     are not kept and the cache does not grow with the reports a process
     makes.
     """
-    return run_experiment(config)
+    return validate(config)["checks"]
 
 
 def _fmt(value: float) -> str:
@@ -184,15 +181,12 @@ def check_escape_floor(seed: int, trials: int) -> Verdict:
     details.append(f"min message-averaged fidelity = {_fmt(worst)} (analytic, >= 0.5)")
 
     for spec in MC_FIXTURES:
-        analytic = average_fidelity(unit_norm_weights(product_seal(spec), "sealed row"), 0.5)
-        config = ExperimentConfig(
-            seal=spec, strategy=FamilyStrategy(nu=0.5), trials=trials, seed=seed
-        )
-        rate, three_sigma, ok = escape_band_check(_experiment(config), analytic)
-        passed &= ok
+        band = _experiment(ExperimentConfig(spec, FamilyStrategy(0.5), trials, seed))["escape"]
+        passed &= band["pass"]
         details.append(
-            f"bits={spec.bits} pass rate {rate:.6f} vs analytic {analytic:.6f} "
-            f"(3 sigma = {_fmt(three_sigma)}): {'ok' if ok else 'OUT OF BAND'}"
+            f"bits={spec.bits} pass rate {band['empirical']:.6f} vs analytic "
+            f"{band['analytic']:.6f} (3 sigma = {_fmt(band['three_sigma'])}): "
+            f"{'ok' if band['pass'] else 'OUT OF BAND'}"
         )
     return passed, tuple(details)
 
@@ -240,28 +234,26 @@ def check_coin_toss_equivalence(seed: int, trials: int) -> Verdict:
         f"{'exact' if exact else 'MISMATCH'}"
     )
 
+    # each run is judged against its strategy's own row: the same row here
     spec = ProductSealSpec.shared_theta("0", math.pi / 6)
-    row = product_seal(spec)
-    weights = unit_norm_weights(row, "sealed row")
-    expected = decode_probabilities(weights, 0.5)
+    escapes = []
     for label, strategy in (
         ("family nu=1/2", FamilyStrategy(nu=0.5)),
         ("coin q=1/2", CoinTossStrategy(q=0.5)),
     ):
-        config = ExperimentConfig(seal=spec, strategy=strategy, trials=trials, seed=seed)
-        stats = _experiment(config)
-        statistic, ok = chi_square_check(stats, expected)
-        passed &= ok
+        checks = _experiment(ExperimentConfig(spec, strategy, trials, seed))
+        chi = checks["chi_square"]
+        passed &= chi["pass"]
+        escapes.append(checks["escape"]["analytic"])
         details.append(
-            f"{label}: chi-square {statistic:.4f} vs same expected row: "
-            f"{'pass' if ok else 'FAIL'} at 99.9%"
+            f"{label}: chi-square {chi['statistic']:.4f} vs same expected row: "
+            f"{'pass' if chi['pass'] else 'FAIL'} at 99.9%"
         )
     # the equivalence is distribution-level only; the post-state
     # ensembles differ, so escape probabilities are shown side by side
     # without any equality assertion
     details.append(
-        f"escape probabilities differ by design: family {average_fidelity(weights, 0.5):.6f}, "
-        f"coin {coin_toss_escape_probability(row, 0.5):.6f}"
+        f"escape probabilities differ by design: family {escapes[0]:.6f}, coin {escapes[1]:.6f}"
     )
     return passed, tuple(details)
 

@@ -25,19 +25,15 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .analysis import average_fidelity, decode_matrix, decode_probabilities, tradeoff_sweep
-from .attacks import coin_toss_escape_probability, coin_toss_probabilities
+from .analysis import decode_matrix, tradeoff_sweep
 from .claims import format_report, run_claims
-from .errors import ResourceError, UsageError, ValidationError, unit_norm_weights
+from .errors import ResourceError, UsageError, ValidationError
 from .montecarlo import (
     CoinTossStrategy,
     ExperimentConfig,
     ExplicitSealSpec,
     FamilyStrategy,
-    chi_square_check,
-    escape_band_check,
-    run_experiment,
-    stats_record,
+    validate,
 )
 from . import seals
 from .seals import OverlapMatrix, ProductSealSpec, overlap_matrix
@@ -285,38 +281,11 @@ def _cmd_mc_validate(args) -> int:
     elif args.message is not None:
         raise UsageError("--message applies to --lambda-file; with --bits the bits are the message")
 
-    if args.nu is not None:
-        strategy = FamilyStrategy(nu=args.nu)
-    else:
-        strategy = CoinTossStrategy(q=args.coin_q)
-
+    strategy = FamilyStrategy(args.nu) if args.nu is not None else CoinTossStrategy(args.coin_q)
     config = ExperimentConfig(seal=seal, strategy=strategy, trials=args.trials, seed=args.seed)
-    sealed_row = config.sealed_row()
-    weights = unit_norm_weights(sealed_row, "sealed state")
-
-    if isinstance(strategy, FamilyStrategy):
-        expected = decode_probabilities(weights, strategy.nu)
-        escape = average_fidelity(weights, strategy.nu)
-    else:
-        expected = coin_toss_probabilities(weights, strategy.q)
-        escape = coin_toss_escape_probability(sealed_row, strategy.q)
-
-    stats = run_experiment(config)
-    statistic, chi_ok = chi_square_check(stats, expected)
-    rate, three_sigma, escape_ok = escape_band_check(stats, escape)
-
-    record = stats_record(config, stats)
-    record["checks"] = {
-        "chi_square": {"statistic": statistic, "pass": chi_ok},
-        "escape": {
-            "analytic": escape,
-            "empirical": rate,
-            "three_sigma": three_sigma,
-            "pass": escape_ok,
-        },
-    }
+    record = validate(config)
     _emit_parts((json.dumps(record, indent=2), "\n"), args.out)
-    return 0 if (chi_ok and escape_ok) else 1
+    return 0 if all(check["pass"] for check in record["checks"].values()) else 1
 
 
 def _cmd_claims(args) -> int:

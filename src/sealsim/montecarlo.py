@@ -50,7 +50,14 @@ from typing import Union
 
 import numpy as np
 
-from .attacks import MeasurementFamily, _GuideTable, _cumulative
+from .analysis import average_fidelity, decode_probabilities
+from .attacks import (
+    MeasurementFamily,
+    _GuideTable,
+    _cumulative,
+    coin_toss_escape_probability,
+    coin_toss_probabilities,
+)
 from .errors import UsageError, ValidationError, check_unit_interval, unit_norm_weights
 from .seals import OverlapMatrix, ProductSealSpec, product_seal
 
@@ -340,3 +347,33 @@ def stats_record(config: ExperimentConfig, stats: EmpiricalStats) -> dict:
         "pass_count": stats.pass_count,
         "trials": stats.trials,
     }
+
+
+def validate(config: ExperimentConfig) -> dict:
+    """One judged run: its stats_record plus "checks" of the decode histogram
+    (chi_square_check) and the pass rate (escape_band_check) against the
+    strategy's closed forms, which are evaluated before the run.
+    """
+    sealed_row = config.sealed_row()
+    weights = unit_norm_weights(sealed_row, "sealed state")
+    strategy = config.strategy
+    if isinstance(strategy, FamilyStrategy):
+        expected = decode_probabilities(weights, strategy.nu)
+        escape = average_fidelity(weights, strategy.nu)
+    else:
+        expected = coin_toss_probabilities(weights, strategy.q)
+        escape = coin_toss_escape_probability(sealed_row, strategy.q)
+    stats = run_experiment(config)
+    statistic, chi_ok = chi_square_check(stats, expected)
+    rate, three_sigma, escape_ok = escape_band_check(stats, escape)
+    record = stats_record(config, stats)
+    record["checks"] = {
+        "chi_square": {"statistic": statistic, "pass": chi_ok},
+        "escape": {
+            "analytic": escape,
+            "empirical": rate,
+            "three_sigma": three_sigma,
+            "pass": escape_ok,
+        },
+    }
+    return record

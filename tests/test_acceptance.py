@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from oracles import apply_and_normalize
-from sealsim import claims
+from sealsim import claims, montecarlo
 from sealsim.analysis import decode_probabilities
 from sealsim.attacks import MeasurementFamily
 from sealsim.cli import main
@@ -127,7 +127,8 @@ def test_a_report_runs_each_experiment_once(monkeypatch):
         configs.append(config)
         return run_experiment(config)
 
-    monkeypatch.setattr(claims, "run_experiment", counting)
+    # claims runs experiments only through montecarlo.validate
+    monkeypatch.setattr(montecarlo, "run_experiment", counting)
     for _ in range(2):
         claims.run_claims(seed=SEED, trials=1000)
     assert len(configs) == 8 and len(set(configs)) == 4

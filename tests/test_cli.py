@@ -825,12 +825,13 @@ class TestResourceLimit:
 
 class TestClaims:
     def test_out_of_memory_is_a_resource_error_not_a_failed_claim(self, capsys, monkeypatch):
-        import sealsim.claims
+        import sealsim.montecarlo
 
         def out_of_memory(config):
             raise MemoryError("Unable to allocate 7.45 GiB for an array")
 
-        monkeypatch.setattr(sealsim.claims, "run_experiment", out_of_memory)
+        # claims 5 and 7 run their experiments through montecarlo.validate
+        monkeypatch.setattr(sealsim.montecarlo, "run_experiment", out_of_memory)
         code, out, err = run_cli(capsys, "claims", "--trials", "1000")
         assert code == 3
         assert "resource error" in err
