@@ -113,49 +113,3 @@ def coin_toss_escape_probability(amplitude_row, read_probability: float) -> floa
     unit_norm_weights(row, "amplitude row")
     escape = (1.0 - q) + q * np.sum(np.abs(row) ** 4, axis=-1)
     return float(escape) if escape.ndim == 0 else escape
-
-
-def _cumulative(weights: np.ndarray) -> np.ndarray:
-    """Running sums of outcome weights, which must sum to 1 within 1e-9."""
-    cumulative = np.cumsum(weights)
-    total = cumulative[-1]
-    if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
-        raise UsageError(f"outcome weights sum to {total}, expected 1")
-    return cumulative
-
-
-def _sample_index(cumulative: np.ndarray, uniforms):
-    """Outcome index for a uniform draw, or an array of draws, by inverse CDF.
-
-    `cumulative` holds the `_cumulative` running sums of the weights.
-    """
-    index = np.searchsorted(cumulative, uniforms * cumulative[-1], side="right")
-    return np.minimum(index, len(cumulative) - 1)
-
-
-class _GuideTable:
-    """_sample_index over one cumulative table, looked up by bins of [0, 1).
-
-    The table splits [0, 1) into K bins, K the power of two at or above
-    16 N, and stores for bin k the outcomes of its lowest and highest
-    draws, _sample_index(cumulative, k/K) and that of the double just
-    below (k+1)/K.  u K is exact and u * total is monotone in u, so a
-    draw in a bin whose two outcomes agree has that outcome; only draws
-    in the other bins, which hold a step of the CDF, are searched.
-    Calling the table on draws gives _sample_index(cumulative, draws),
-    draw for draw.
-    """
-
-    def __init__(self, cumulative: np.ndarray) -> None:
-        self.cumulative = cumulative
-        self.bins = 1 << (16 * len(cumulative) - 1).bit_length()
-        edges = np.arange(self.bins + 1) / self.bins
-        self.first = _sample_index(cumulative, edges[:-1])
-        self.split = self.first != _sample_index(cumulative, np.nextafter(edges[1:], 0.0))
-
-    def __call__(self, uniforms: np.ndarray) -> np.ndarray:
-        bins = (uniforms * self.bins).astype(np.intp)
-        index = self.first[bins]
-        searched = np.flatnonzero(self.split[bins])
-        index[searched] = _sample_index(self.cumulative, uniforms[searched])
-        return index

@@ -26,14 +26,16 @@ from typing import Sequence
 
 import numpy as np
 
-from sealsim.attacks import MeasurementFamily, _cumulative, _sample_index
+from sealsim.attacks import MeasurementFamily
 from sealsim.errors import UsageError, check_unit_interval, unit_norm_weights
 from sealsim.montecarlo import (
     DRAWS_PER_ROUND,
     EmpiricalStats,
     ExperimentConfig,
     FamilyStrategy,
+    _cumulative,
     _philox,
+    _sample_index,
 )
 
 

@@ -47,16 +47,10 @@ from sealsim.analysis import (
     mutual_information,
     tradeoff_sweep,
 )
-from sealsim.attacks import (
-    MeasurementFamily,
-    _cumulative,
-    _GuideTable,
-    _sample_index,
-    coin_toss_probabilities,
-)
+from sealsim.attacks import MeasurementFamily, coin_toss_probabilities
 from sealsim.claims import THETA_GRID, seal_suite
 from sealsim.errors import UsageError, unit_norm_weights
-from sealsim.montecarlo import _family_tables
+from sealsim.montecarlo import _cumulative, _family_tables, _GuideTable, _sample_index
 from sealsim.seals import (
     OverlapMatrix,
     ProductSealSpec,
