@@ -175,7 +175,8 @@ def product_seal(spec: ProductSealSpec) -> np.ndarray:
 
 # Between the brackets and commas of "rows" only JSON numbers (with the
 # NaN and Infinity tokens json accepts) and JSON whitespace may appear.
-_NUMBER_BYTES = b"0123456789+-.eE \t\n\rNaInfity"
+_NUMBER_BYTES = b"0123456789+-.eENaInfity"
+_NUMBERS_TO_ZEROS = bytes.maketrans(_NUMBER_BYTES, b"0" * len(_NUMBER_BYTES))
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 
 
@@ -235,16 +236,22 @@ def _read_overlap_file(path) -> tuple[int, bytes, bytes]:
 def _parse_overlap_rows(path, dim: int, rows: bytes) -> OverlapMatrix:
     """The overlap matrix whose "rows" _read_overlap_file read from path."""
     with _malformed_overlap_file(path):
-        skeleton = rows.translate(None, _NUMBER_BYTES)
+        # without whitespace and with each number byte a "0", a number lies
+        # inside a pair exactly when no "0" touches the outside of a bracket
+        compact = rows.translate(_NUMBERS_TO_ZEROS, b" \t\n\r")
+        skeleton = compact.translate(None, b"0")
         # testing the length first keeps a huge 'dim' from building a huge layout
         if len(skeleton) != 4 * dim * dim + 2 * dim + 1 or skeleton != _rows_layout(dim):
             raise ValueError(f"'rows' must be a {dim}x{dim} array of [re, im] pairs")
-        del skeleton
+        if b"]0" in compact or b"0[" in compact:
+            raise ValueError("'rows' holds a number outside its [re, im] pair")
+        del compact, skeleton
         # brackets become spaces, so a number cannot run on across one
         values = json.loads(b"[" + rows.translate(_BRACKETS_TO_SPACES) + b"]")
         arr = np.array(values, dtype=float).reshape(dim, dim, 2)
         del values
-    return OverlapMatrix(arr[..., 0] + 1j * arr[..., 1])
+    # a view, not re + 1j * im, whose multiply warns on an infinite part
+    return OverlapMatrix(arr.view(np.complex128)[..., 0])
 
 
 def load_overlap_matrix(path) -> OverlapMatrix:
@@ -258,8 +265,8 @@ def load_overlap_matrix(path) -> OverlapMatrix:
     The values are those json.load and np.asarray would give, bit for
     bit, but they are parsed as one flat JSON list: the object is parsed
     with "rows" replaced by null, the brackets and commas of "rows" are
-    checked against the N x N x 2 layout, and the bracket-free number
-    list is parsed once.
+    checked against the N x N x 2 layout, each number inside its pair,
+    and the bracket-free number list is parsed once.
     """
     dim, _, rows = _read_overlap_file(path)
     return _parse_overlap_rows(path, dim, rows)

@@ -450,6 +450,9 @@ MALFORMED_LAMBDA_FILES = {
     "bool-dim": b'{"dim": true, "rows": [[[1, 0]]]}',
     "duplicate-key": b'{"dim": 3, "dim": 2, "rows": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
     "extra-key": b'{"dim": 2, "rows": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "note": 1}',
+    "number-outside-its-pair": (
+        b'{"dim": 2, "rows": [[[0.6, 0.0], [0.0, 0.8]], [[0.8, 0.0], -0.6[,0.0]]]}'
+    ),
     "directory": None,
 }
 
@@ -471,6 +474,35 @@ class TestMalformedLambdaFile:
         assert code == 2
         assert err.startswith("error:")
         assert out == ""
+
+
+# files the loader must refuse without a warning on the way: once, the first
+# was accepted, and the infinite imaginary part of the second warned in a multiply
+REFUSED_UNDER_W_ERROR = {
+    "number-outside-its-pair": MALFORMED_LAMBDA_FILES["number-outside-its-pair"],
+    "infinite-imaginary-part": (
+        b'{"dim": 2, "rows": [[[0.6, 0.0], [0.0, 0.8]], [[0.8, 0.0], [-0.6, Infinity]]]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", REFUSED_UNDER_W_ERROR)
+@pytest.mark.parametrize(
+    "command", (("sweep",), ("mc-validate", "--nu", "0.5", "--trials", "100")), ids=" ".join
+)
+def test_a_refused_file_exits_2_without_a_traceback_under_w_error(tmp_path, kind, command):
+    path = tmp_path / "malformed.json"
+    path.write_bytes(REFUSED_UNDER_W_ERROR[kind])
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "sealsim", *command, "--lambda-file", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache-home")},
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
 
 
 @pytest.fixture
@@ -590,7 +622,7 @@ class TestLambdaFileCache:
         monkeypatch.setenv("XDG_CACHE_HOME", str(home))
         path = DATA / "random16.json"
         arr = np.asarray(json.loads(path.read_text(encoding="utf-8"))["rows"], dtype=float)
-        expected = (arr[..., 0] + 1j * arr[..., 1]).tobytes()
+        expected = arr.view(np.complex128)[..., 0].tobytes()
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")

@@ -1,10 +1,13 @@
 import json
 import math
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import unit_row, verify_seal
 from sealsim.errors import ResourceError, UsageError, ValidationError
@@ -337,7 +340,8 @@ class TestOverlapMatrixFiles:
         path = tmp_path / "seal.json"
         path.write_text(text, encoding="utf-8")
         arr = np.asarray(json.loads(text)["rows"], dtype=float)
-        expected = arr[..., 0] + 1j * arr[..., 1]
+        # a view keeps the sign of a zero part, which re + 1j * im would not
+        expected = arr.view(np.complex128)[..., 0]
         assert load_overlap_matrix(path).coefficients.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
@@ -358,6 +362,7 @@ class TestOverlapMatrixFiles:
             '{"dim": 2, "rows": [[["1", 0], [0, 0]], [[0, 0], [1, 0]]]}',
             '{"dim": 2, "rows": [[[true, 0], [0, 0]], [[0, 0], [1, 0]]]}',
             '{"dim": 1, "rows": [[[1, 0]5]]}',
+            '{"dim": 2, "rows": [[[0.6, 0.0], [0.0, 0.8]], [[0.8, 0.0], -0.6[,0.0]]]}',
             '{"dim": 1, "rows": [[[1, ]]]}',
             '{"dim": 1, "rows": [[[1, 0], ]]}',
             '{"dim": 2, "rows": [[[1, 0], [0, 0]], [[0, 0, 1]]]}',
@@ -368,7 +373,7 @@ class TestOverlapMatrixFiles:
             "float-dim", "integral-float-dim", "string-dim", "bool-dim", "zero-dim",
             "duplicate-dim", "duplicate-rows", "extra-key", "extra-key-with-bracket",
             "null-rows", "string-rows", "bare-array", "string-amplitude", "bool-amplitude",
-            "number-after-bracket", "empty-amplitude", "trailing-comma", "ragged", "huge-dim",
+            "number-after-bracket", "number-outside-its-pair", "empty-amplitude", "trailing-comma", "ragged", "huge-dim",
             "empty-file",
         ],
     )
@@ -418,3 +423,84 @@ class TestOverlapMatrixFiles:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ResourceError):
             load_overlap_matrix(path)
+
+
+# small valid files, whose byte edits the loader must judge as json.load does
+VALID_FILES = (
+    b'{"dim": 2, "rows": [[[0.6, 0.0], [0.0, 0.8]], [[0.8, 0.0], [-0.6, 0.0]]]}',
+    b'{"rows":[[[1,-0.0],[0,0]],[[0,0],[-0E1,1]]],"dim":2}',
+    json.dumps({"dim": 2, "rows": IDENTITY2}, indent=1).encode(),
+)
+EDIT_BYTES = b'[],. -+0123456789eE"\n:{}NaInfity'
+
+
+@st.composite
+def edited_files(draw) -> bytes:
+    """A valid file after one to three byte edits; a moved bracket is the likeliest."""
+    data = bytearray(draw(st.sampled_from(VALID_FILES)))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("move-bracket", "move-bracket", "insert", "delete", "replace")))
+        if kind == "move-bracket":
+            at = draw(st.sampled_from([i for i, b in enumerate(data) if b in b"[]"] or [0]))
+            byte = data.pop(at)
+            shifted = at + draw(st.integers(-6, 6))
+            data.insert(min(max(shifted, 0), len(data)), byte)
+            continue
+        at = draw(st.integers(0, len(data) - (kind != "insert")))
+        byte = draw(st.one_of(st.sampled_from(EDIT_BYTES), st.integers(0, 255)))
+        if kind == "insert":
+            data.insert(at, byte)
+        elif kind == "delete":
+            del data[at]
+        else:
+            data[at] = byte
+    return bytes(data)
+
+
+def _unique_keys(pairs: list) -> dict:
+    if len({key for key, _ in pairs}) != len(pairs):
+        raise ValueError("duplicate key")
+    return dict(pairs)
+
+
+def is_array(value, length: int) -> bool:
+    return isinstance(value, list) and len(value) == length
+
+
+def is_pair(value) -> bool:
+    return is_array(value, 2) and all(type(part) in (int, float) for part in value)
+
+
+def reference_coefficients(data: bytes) -> bytes | None:
+    """Coefficient bytes of json.loads plus the schema, or None where they refuse the file."""
+    try:
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except ValueError:  # also UnicodeDecodeError and a duplicate key
+        return None
+    if not isinstance(doc, dict) or sorted(doc) != ["dim", "rows"]:
+        return None
+    dim, rows = doc["dim"], doc["rows"]
+    if not (type(dim) is int and dim >= 1 and is_array(rows, dim)):
+        return None
+    if not all(is_array(row, dim) and all(map(is_pair, row)) for row in rows):
+        return None
+    try:
+        arr = np.array(rows, dtype=float)
+        return OverlapMatrix(arr.view(np.complex128)[..., 0]).coefficients.tobytes()
+    except (OverflowError, ValidationError):
+        return None
+
+
+class TestLoaderAgreesWithJsonLoad:
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(edited_files())
+    def test_accepts_exactly_what_json_load_and_the_schema_accept(self, data):
+        expected = reference_coefficients(data)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "seal.json"
+            path.write_bytes(data)
+            if expected is None:
+                with pytest.raises((ValidationError, ResourceError)):
+                    load_overlap_matrix(path)
+            else:
+                assert load_overlap_matrix(path).coefficients.tobytes() == expected
