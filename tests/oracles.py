@@ -3,9 +3,10 @@
 These are the dense and round-by-round forms that no command runs:
 operator application with renormalization, fidelity, the tensor product
 of per-qubit states, a single attack round and a single verifier check,
-the per-column flat posterior mass and its marginal-weighted sum, and
-`replay_experiment`, which walks the Monte Carlo draw table one round
-at a time.  `sealsim.montecarlo`'s determinism contract is stated
+the per-column flat posterior mass and its marginal-weighted sum, the
+Holevo and square-root-measurement ceilings of a seal's ensemble by a
+dense eigendecomposition, and `replay_experiment`, which walks the
+Monte Carlo draw table one round at a time.  `sealsim.montecarlo`'s determinism contract is stated
 against `replay_experiment` and `round_block`; the tests assert that
 `run_experiment` and `draw_chunks` reproduce them exactly.
 
@@ -195,6 +196,25 @@ def expected_flat_mass(probs: np.ndarray, nu: float) -> float:
     column_sums = np.ascontiguousarray(probs.T).sum(axis=1)
     terms = marginals[live] * ((1.0 - nu) / column_sums[live])
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
+def ensemble_ceilings(coefficients: np.ndarray) -> tuple[float, float]:
+    """(chi, P_SRM) of the uniform ensemble of the rows c_i, by a dense eigh.
+
+    With the Gram matrix G = C C^dag, the Holevo quantity chi = S(G/N), in
+    bits, bounds the mutual information of any measurement, and the
+    square-root measurement guesses right with P_SRM = (1/N) sum_i
+    (sqrt G)_ii^2, whose square root bounds the guess probability of any
+    measurement (Barnum-Knill).
+    """
+    n = len(coefficients)
+    eigenvalues, vectors = np.linalg.eigh(coefficients @ coefficients.conj().T)
+    eigenvalues = np.clip(eigenvalues, 0.0, None)  # rounding can leave tiny negatives
+    shares = eigenvalues[eigenvalues > 0.0] / n
+    chi = float(-np.sum(shares * np.log2(shares)))
+    root = (vectors * np.sqrt(eigenvalues)) @ vectors.conj().T
+    p_srm = float(np.sum(np.diag(root).real ** 2)) / n
+    return chi, p_srm
 
 
 def draw_table(seed: int, trials: int) -> np.ndarray:

@@ -6,6 +6,7 @@ compares the report bytes.  Each test prints its own PASS/FAIL line
 (visible with `pytest -s` or on failure).
 """
 
+import json
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -62,6 +63,34 @@ def test_criterion_04_flat_posterior_mass_half(suite):
 
 def test_criterion_05_escape_at_least_half(suite):
     assert_claim(suite, 5)
+
+
+def mc_validate_checks(capsys, strategy: str) -> dict:
+    """The checks that mc-validate prints for claims 5 and 7's one-bit fixture."""
+    code = main([
+        "mc-validate", "--bits", "0", "--theta", "0.5235987755982988", strategy, "0.5",
+        "--trials", str(TRIALS), "--seed", str(SEED),
+    ])
+    assert code == 0
+    return json.loads(capsys.readouterr().out)["checks"]
+
+
+def test_claims_5_and_7_print_the_numbers_of_mc_validate(suite, capsys):
+    # both read one judged run of the same config, so the report shows
+    # mc-validate's numbers as its own
+    family, coin = (mc_validate_checks(capsys, flag) for flag in ("--nu", "--coin-q"))
+    band = family["escape"]
+    assert (
+        f"bits=0 pass rate {band['empirical']:.6f} vs analytic {band['analytic']:.6f} "
+        f"(3 sigma = {band['three_sigma']:.6e}): ok"
+    ) in suite[5].details
+    for label, checks in (("family nu=1/2", family), ("coin q=1/2", coin)):
+        line = f"{label}: chi-square {checks['chi_square']['statistic']:.4f} vs same expected row"
+        assert f"{line}: pass at 99.9%" in suite[7].details
+    assert suite[7].details[-1] == (
+        f"escape probabilities differ by design: family {band['analytic']:.6f}, "
+        f"coin {coin['escape']['analytic']:.6f}"
+    )
 
 
 def test_criterion_06_fidelity_collapse_sum_quartic(suite):

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (
+    ensemble_ceilings,
     expected_flat_mass,
     family_apply,
     fidelity,
@@ -191,6 +192,43 @@ def test_a_product_seal_read_at_full_strength_meets_the_ceilings():
         assert abs(point.guess_probability - math.prod(cos2)) <= 1e-12, thetas
         accessible = sum(1.0 - binary_entropy_bits(c) for c in cos2)
         assert abs(point.mutual_information - accessible) <= 1e-12, thetas
+
+def ceiling_seals():
+    for name in ("random16", "golden-random64", "sparse16"):
+        yield name, MATRICES[name]
+    for m, theta, om in seal_suite():
+        yield f"m{m}-theta{theta:.4f}", om
+
+
+CEILING_SEALS = dict(ceiling_seals())
+
+
+def assert_below_the_ceilings(om: OverlapMatrix) -> None:
+    """No point of the 21-point sweep beats Holevo's chi or the Barnum-Knill bound."""
+    chi, p_srm = ensemble_ceilings(om.coefficients)
+    for point in tradeoff_sweep(om, NU_GRID):
+        assert point.mutual_information <= chi + 1e-12, point.nu
+        assert point.guess_probability <= math.sqrt(p_srm) + 1e-12, point.nu
+
+
+class TestInformationCeilings:
+    @pytest.mark.parametrize("name", CEILING_SEALS)
+    def test_the_sweep_stays_below_the_ceilings(self, name):
+        assert_below_the_ceilings(CEILING_SEALS[name])
+
+    def test_chi_of_a_product_seal_is_the_sum_over_its_qubits(self):
+        # each qubit's two equiprobable states average to a state with
+        # eigenvalues (1 +- sin 2 theta) / 2
+        for thetas, om in product_seals():
+            chi, _ = ensemble_ceilings(om.coefficients)
+            per_qubit = sum(binary_entropy_bits((1.0 + math.sin(2.0 * t)) / 2.0) for t in thetas)
+            assert abs(chi - per_qubit) <= 1e-12, thetas
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.integers(2, 64), st.integers(0, 2**32 - 1), st.sampled_from((0.0, 0.6)))
+    def test_random_seals_stay_below_the_ceilings(self, n, seed, sparsity):
+        assert_below_the_ceilings(random_overlaps(seed, n, sparsity))
+
 
 class TestOracles:
     @pytest.mark.parametrize("name", MATRICES)
