@@ -173,10 +173,9 @@ def product_seal(spec: ProductSealSpec) -> np.ndarray:
     return row
 
 
-# Between the brackets and commas of "rows" only JSON numbers (with the
-# NaN and Infinity tokens json accepts) and JSON whitespace may appear.
+# Between the brackets and commas of "rows" only JSON whitespace and the
+# bytes of JSON numbers (with json's NaN and Infinity tokens) may appear.
 _NUMBER_BYTES = b"0123456789+-.eENaInfity"
-_NUMBERS_TO_ZEROS = bytes.maketrans(_NUMBER_BYTES, b"0" * len(_NUMBER_BYTES))
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 
 
@@ -236,18 +235,18 @@ def _read_overlap_file(path) -> tuple[int, bytes, bytes]:
 def _parse_overlap_rows(path, dim: int, rows: bytes) -> OverlapMatrix:
     """The overlap matrix whose "rows" _read_overlap_file read from path."""
     with _malformed_overlap_file(path):
-        # without whitespace and with each number byte a "0", a number lies
-        # inside a pair exactly when no "0" touches the outside of a bracket
-        compact = rows.translate(_NUMBERS_TO_ZEROS, b" \t\n\r")
-        skeleton = compact.translate(None, b"0")
+        compact = rows.translate(None, b" \t\n\r")
+        skeleton = compact.translate(None, _NUMBER_BYTES)
         # testing the length first keeps a huge 'dim' from building a huge layout
         if len(skeleton) != 4 * dim * dim + 2 * dim + 1 or skeleton != _rows_layout(dim):
             raise ValueError(f"'rows' must be a {dim}x{dim} array of [re, im] pairs")
-        if b"]0" in compact or b"0[" in compact:
-            raise ValueError("'rows' holds a number outside its [re, im] pair")
+        # a number outside its pair parses as part of the flat list below only
+        # by filling a pair's empty slot, so an empty slot is refused here
+        if b"[," in compact or b",]" in compact:
+            raise ValueError("'rows' holds an empty [re, im] slot")
         del compact, skeleton
         # brackets become spaces, so a number cannot run on across one
-        values = json.loads(b"[" + rows.translate(_BRACKETS_TO_SPACES) + b"]")
+        values = json.loads(b"".join((b"[", rows.translate(_BRACKETS_TO_SPACES), b"]")))
         arr = np.array(values, dtype=float).reshape(dim, dim, 2)
         del values
     # a view, not re + 1j * im, whose multiply warns on an infinite part
