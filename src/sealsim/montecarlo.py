@@ -391,9 +391,9 @@ def stats_record(config: ExperimentConfig, stats: EmpiricalStats) -> dict:
 
 
 def validate(config: ExperimentConfig) -> dict:
-    """One judged run: its stats_record plus "checks" of the decode histogram
-    (chi_square_check) and the pass rate (escape_band_check) against the
-    strategy's closed forms, which are evaluated before the run.
+    """One judged run: stats_record plus "checks" against the strategy's closed forms.
+
+    chi_square_check judges the decode histogram, escape_band_check the pass rate.
     """
     sealed_row = config.sealed_row()
     weights = unit_norm_weights(sealed_row, "sealed state")
