@@ -78,8 +78,9 @@ def _cache_entry(head: bytes, rows: bytes) -> str | None:
     None if neither is an absolute path or a keyed source cannot be read.
     The name is a BLAKE2b digest of the bytes read and of everything
     that makes the values parsed from them: the source files of the
-    parser and of this cache, and the Python and numpy versions.  So a
-    changed sealsim never reads an entry that another version wrote.
+    parser and of this cache, the Python and numpy versions and the byte
+    order.  So a changed sealsim never reads an entry that another
+    version wrote, and no machine reads one in another byte order.
     """
     try:
         # the built-in module, not hashlib, which maps OpenSSL's libcrypto
@@ -100,31 +101,27 @@ def _cache_entry(head: bytes, rows: bytes) -> str | None:
     except OSError:
         return None
     key = blake2b(digest_size=32)
-    for part in (*sources, sys.version.encode(), np.__version__.encode(), head, rows):
+    versions = (sys.version, np.__version__, sys.byteorder)
+    for part in (*sources, *(v.encode() for v in versions), head, rows):
         # each part's length keeps the split between parts out of the collisions
         key.update(len(part).to_bytes(8, "little"))
         key.update(part)
-    return os.path.join(root, "sealsim", key.hexdigest() + ".npy")
+    return os.path.join(root, "sealsim", key.hexdigest() + ".raw")
 
 
 def _read_entry(entry: str, dim: int) -> OverlapMatrix | None:
-    """The cached matrix, or None unless entry is a dim x dim complex128 .npy of unit rows.
+    """The cached matrix, or None unless entry holds exactly dim x dim complex128 unit rows.
 
-    The header is checked before any data is read, so a corrupt entry
-    cannot make the loader allocate more than the matrix it expects.
+    One byte more than the matrix is read, so a long entry fails the
+    reshape as a short one does, and a corrupt entry cannot make the
+    loader allocate more than the matrix it expects.
     """
     try:
         with open(entry, "rb") as fh:
-            if np.lib.format.read_magic(fh) != (1, 0):
-                return None
-            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-            if shape != (dim, dim) or fortran_order or dtype != np.complex128:
-                return None
-            # one byte more than the matrix, so that a long entry fails the reshape too
             data = fh.read(16 * dim * dim + 1)
-        return OverlapMatrix(np.frombuffer(data, dtype=dtype).reshape(dim, dim))
+        return OverlapMatrix(np.frombuffer(data, dtype=np.complex128).reshape(dim, dim))
     except (OSError, ValueError):
-        # missing, unreadable, not a .npy file, or values OverlapMatrix refuses
+        # missing, unreadable, of another size, or values OverlapMatrix refuses
         return None
 
 
@@ -142,10 +139,10 @@ def _write_entry(entry: str, coefficients: np.ndarray) -> None:
     try:
         os.makedirs(directory, exist_ok=True)
         with open(temp, "wb") as fh:
-            np.lib.format.write_array(fh, coefficients, version=(1, 0), allow_pickle=False)
+            coefficients.tofile(fh)
         os.replace(temp, entry)
         others = [os.path.join(directory, n) for n in os.listdir(directory) if n != name]
-        newest = max((p for p in others if p.endswith(".npy")), key=os.path.getmtime, default=None)
+        newest = max((p for p in others if p.endswith(".raw")), key=os.path.getmtime, default=None)
         for other in others:
             if other != newest:
                 with contextlib.suppress(OSError):

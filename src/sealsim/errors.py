@@ -60,7 +60,8 @@ def unit_norm_weights(amplitudes: np.ndarray, what: str) -> np.ndarray:
     Raises ValidationError when a sum is off by more than NORM_ATOL or is
     not finite, naming the offending rows of a stack.
     """
-    weights = np.abs(amplitudes) ** 2
+    with np.errstate(over="ignore"):  # a |c| too large to square sums to inf, refused below
+        weights = np.abs(amplitudes) ** 2
     total = weights.sum(axis=-1)
     bad = ~(np.abs(total - 1.0) <= NORM_ATOL)  # also rejects NaN and Inf
     if np.any(bad):

@@ -5,7 +5,8 @@ operator application with renormalization, fidelity, the tensor product
 of per-qubit states, a single attack round and a single verifier check,
 the per-column flat posterior mass and its marginal-weighted sum, the
 Holevo and square-root-measurement ceilings of a seal's ensemble by a
-dense eigendecomposition, and `replay_experiment`, which walks the
+dense eigendecomposition, the escape probability of the re-prepare read
+by the Gram matrix, and `replay_experiment`, which walks the
 Monte Carlo draw table one round at a time.  `sealsim.montecarlo`'s determinism contract is stated
 against `replay_experiment` and `round_block`; the tests assert that
 `run_experiment` and `draw_chunks` reproduce them exactly.
@@ -215,6 +216,20 @@ def ensemble_ceilings(coefficients: np.ndarray) -> tuple[float, float]:
     root = (vectors * np.sqrt(eigenvalues)) @ vectors.conj().T
     p_srm = float(np.sum(np.diag(root).real ** 2)) / n
     return chi, p_srm
+
+
+def reprepare_escape(coefficients: np.ndarray) -> float:
+    """Escape probability of the re-prepare read of the uniform ensemble of the rows c_i.
+
+    The reader measures in the computational basis and sends on the
+    sealed state of the outcome, not the basis state: message i gives
+    outcome j with probability W_ij = |c_ij|^2, and c_j then passes the
+    check on c_i with probability |G_ij|^2, where G = C C^dag.  So the
+    escape is (1/N) sum_i sum_j W_ij |G_ij|^2.
+    """
+    gram = coefficients @ coefficients.conj().T
+    weights = np.abs(coefficients) ** 2
+    return float(np.sum(weights * np.abs(gram) ** 2)) / len(coefficients)
 
 
 def draw_table(seed: int, trials: int) -> np.ndarray:

@@ -477,12 +477,14 @@ class TestMalformedLambdaFile:
 
 
 # files the loader must refuse without a warning on the way: once, the first
-# was accepted, and the infinite imaginary part of the second warned in a multiply
+# was accepted, the infinite imaginary part of the second warned in a multiply,
+# and the third overflowed when its modulus was squared
 REFUSED_UNDER_W_ERROR = {
     "number-outside-its-pair": MALFORMED_LAMBDA_FILES["number-outside-its-pair"],
     "infinite-imaginary-part": (
         b'{"dim": 2, "rows": [[[0.6, 0.0], [0.0, 0.8]], [[0.8, 0.0], [-0.6, Infinity]]]}'
     ),
+    "too-large-to-square": b'{"dim": 1, "rows": [[[1e200, 0.0]]]}',
 }
 
 
@@ -530,6 +532,12 @@ def entries(cache: Path) -> list[Path]:
     return sorted(cache.iterdir()) if cache.exists() else []
 
 
+def write_npy(entry: Path, coefficients: np.ndarray) -> None:
+    """The .npy container that entries were written in before they were the bare bytes."""
+    with entry.open("wb") as fh:
+        np.lib.format.write_array(fh, coefficients, version=(1, 0), allow_pickle=False)
+
+
 class TestLambdaFileCache:
     @pytest.mark.parametrize("name", ("random16.json", "sparse16.json", "random64.json", "product"))
     def test_a_hit_equals_a_miss_bit_for_bit(self, tmp_path, cache, json_loads_calls, name):
@@ -540,6 +548,8 @@ class TestLambdaFileCache:
             save_overlap_matrix(overlap_matrix(spec), path)
         miss = _load_lambda_file(path).coefficients
         assert json_loads_calls[0] == 2 and len(entries(cache)) == 1  # the head, then the rows
+        (entry,) = entries(cache)
+        assert entry.read_bytes() == miss.tobytes()  # the native bytes alone, 16 N^2 of them
         hit = _load_lambda_file(path).coefficients
         assert json_loads_calls[0] == 3  # the head alone
         assert hit.tobytes() == miss.tobytes() == load_overlap_matrix(path).coefficients.tobytes()
@@ -557,20 +567,18 @@ class TestLambdaFileCache:
         [
             lambda entry, coefficients: entry.write_bytes(entry.read_bytes()[:-1]),
             lambda entry, coefficients: entry.write_bytes(entry.read_bytes() + b"\0"),
-            lambda entry, coefficients: np.save(entry, coefficients.astype(np.complex64)),
-            lambda entry, coefficients: np.save(entry, coefficients.astype(">c16")),
-            lambda entry, coefficients: np.save(entry, coefficients.real),
-            lambda entry, coefficients: np.save(entry, coefficients.reshape(-1)),
-            lambda entry, coefficients: np.save(entry, coefficients[:8, :8]),
-            lambda entry, coefficients: np.save(entry, np.asfortranarray(coefficients.T)),
-            lambda entry, coefficients: np.save(entry, 2 * coefficients),
-            lambda entry, coefficients: np.save(entry, coefficients.astype(object)),
-            lambda entry, coefficients: entry.write_bytes(b"not a .npy file"),
             lambda entry, coefficients: entry.write_bytes(b""),
+            lambda entry, coefficients: entry.write_bytes(coefficients[:8, :8].tobytes()),
+            lambda entry, coefficients: entry.write_bytes((2 * coefficients).tobytes()),
+            lambda entry, coefficients: entry.write_bytes(
+                np.where(np.arange(coefficients.size) == 5, np.nan, coefficients.ravel()).tobytes()
+            ),
+            lambda entry, coefficients: entry.write_bytes(coefficients.byteswap().tobytes()),
+            write_npy,
         ],
         ids=[
-            "truncated", "trailing-byte", "complex64", "big-endian", "float64", "flat", "wrong-dim",
-            "fortran-order", "non-unit", "object", "not-npy", "empty",
+            "one-byte-short", "one-byte-long", "empty", "wrong-dim", "doubled", "nan",
+            "byte-swapped", "npy-container",
         ],
     )
     def test_a_bad_entry_is_a_miss_and_is_replaced(self, cache, json_loads_calls, corrupt):
@@ -584,6 +592,24 @@ class TestLambdaFileCache:
         assert _load_lambda_file(path).coefficients.tobytes() == expected.tobytes()
         assert json_loads_calls[0] - before == 2  # parsed again
         assert entries(cache) == [entry] and entry.read_bytes() == good
+
+    def test_a_cache_of_the_other_byte_order_is_never_read(
+        self, cache, json_loads_calls, monkeypatch
+    ):
+        path = DATA / "random16.json"
+        _load_lambda_file(path)
+        monkeypatch.setattr(sys, "byteorder", {"little": "big", "big": "little"}[sys.byteorder])
+        _load_lambda_file(path)
+        assert json_loads_calls[0] == 4  # parsed again
+        assert len(entries(cache)) == 2
+
+    def test_an_entry_of_the_older_format_is_removed_by_the_next_write(self, cache):
+        cache.mkdir(parents=True)
+        older = cache / ("0" * 64 + ".npy")
+        np.save(older, np.eye(16, dtype=complex))
+        _load_lambda_file(DATA / "random16.json")
+        (entry,) = entries(cache)
+        assert entry != older and entry.suffix == ".raw"
 
     @pytest.mark.parametrize(
         "text",
@@ -853,6 +879,58 @@ class TestResourceLimit:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: SEALSIM_MAX_DIM must be")
+
+
+# the commands that fit an address space of 400 MiB at these sizes; sweep and
+# decode-matrix at m = 12 need more while they build N x N arrays
+WITHIN_400_MIB = {
+    "claims": ("claims", "--seed", "42"),
+    "mc-validate-m12": (
+        "mc-validate", "--bits", "011010010110", "--theta", "0.3", "--nu", "0.5",
+        "--trials", "1000000",
+    ),
+    "sweep-m11": ("sweep", "--bits", "01101001011", "--theta", "0.3"),
+    "decode-matrix-m11": (
+        "decode-matrix", "--bits", "01101001011", "--theta", "0.3", "--nu", "0.5",
+    ),
+}
+
+
+def run_with_address_space(command, limit_mib):
+    """The command in a child whose address space alone is capped, with one BLAS thread."""
+    try:
+        import resource
+    except ImportError:
+        pytest.skip("no resource module")
+
+    def cap():
+        if limit_mib is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (limit_mib << 20,) * 2)
+
+    threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "sealsim", *command],
+            capture_output=True,
+            timeout=120,
+            env={**os.environ, **threads},
+            preexec_fn=cap,
+        )
+    except subprocess.SubprocessError as exc:
+        if "preexec_fn" not in str(exc):
+            raise
+        pytest.skip(f"RLIMIT_AS cannot be set here: {exc}")
+
+
+def test_commands_fit_400_mib_and_exit_3_below_it():
+    for name, command in WITHIN_400_MIB.items():
+        limited = run_with_address_space(command, 400)
+        unlimited = run_with_address_space(command, None)
+        assert (limited.returncode, unlimited.returncode) == (0, 0), (name, limited.stderr)
+        assert limited.stdout == unlimited.stdout, name
+    starved = run_with_address_space(WITHIN_400_MIB["sweep-m11"], 150)
+    assert (starved.returncode, starved.stdout) == (3, b"")
+    assert starved.stderr == b"resource error: out of memory\n"
 
 
 class TestClaims:

@@ -36,6 +36,7 @@ from oracles import (
     family_apply,
     fidelity,
     flat_posterior_mass,
+    reprepare_escape,
     tensor_product,
 )
 from sealsim.analysis import (
@@ -451,3 +452,44 @@ class TestGuideTable:
         ])
         uniforms = uniforms[uniforms < 1.0]
         assert np.array_equal(table(uniforms), _sample_index(cumulative, uniforms))
+
+
+def reprepare_escape_product(thetas) -> float:
+    """The re-prepare read's escape from a product seal, qubit by qubit.
+
+    Per qubit the read keeps the bit (cos^2) and passes, or flips it
+    (sin^2) and passes with the squared overlap of the two sealed states,
+    sin^2 2 theta.
+    """
+    return math.prod(
+        math.cos(t) ** 2 + math.sin(t) ** 2 * math.sin(2.0 * t) ** 2 for t in thetas
+    )
+
+
+class TestReprepareAttack:
+    """Measure in the computational basis, then send on the sealed state of the outcome.
+
+    Its decode distribution is the family's at nu = 1, and mixed with idling
+    at rate q the family's at nu = q, so only the escape differs.
+    """
+
+    def test_the_product_closed_form_equals_the_gram_oracle(self):
+        assert abs(reprepare_escape_product([math.pi / 6]) - 0.9375) <= 1e-15
+        for thetas, om in product_seals():
+            gap = reprepare_escape(om.coefficients) - reprepare_escape_product(thetas)
+            assert abs(gap) <= 1e-12, thetas
+
+    @fixed
+    @given(st.lists(angles, min_size=1, max_size=6))
+    def test_the_product_closed_form_holds_for_any_angles(self, thetas):
+        om = overlap_matrix(ProductSealSpec("0" * len(thetas), thetas))
+        assert abs(reprepare_escape(om.coefficients) - reprepare_escape_product(thetas)) <= 1e-12
+
+    def test_a_full_read_escapes_more_often_when_it_re_prepares(self):
+        # per qubit the gap to cos^4 + sin^4 is sin^2 theta (cos 2 theta + sin^2 2 theta) >= 0
+        # on [0, pi/4]; for general seals the order is not guaranteed
+        for thetas, om in product_seals():
+            family = escape_probability(om, 1.0)
+            quartic = math.prod(math.cos(t) ** 4 + math.sin(t) ** 4 for t in thetas)
+            assert abs(family - quartic) <= 1e-12, thetas
+            assert reprepare_escape(om.coefficients) >= quartic - 1e-12, thetas
