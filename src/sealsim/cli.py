@@ -16,10 +16,8 @@ if __name__ == "__main__":
     run()
 
 import argparse
-import contextlib
 import dataclasses
 import json
-import os
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -35,7 +33,6 @@ from .montecarlo import (
     FamilyStrategy,
     validate,
 )
-from . import seals
 from .seals import OverlapMatrix, ProductSealSpec, overlap_matrix
 
 DEFAULT_TRIALS = 100_000
@@ -71,106 +68,6 @@ def _product_spec_from_args(args) -> ProductSealSpec:
     return ProductSealSpec.shared_theta(args.bits, args.theta)
 
 
-def _cache_entry(head: bytes, rows: bytes) -> str | None:
-    """Path of the cached matrix for an overlap file read as head and rows.
-
-    The directory is $XDG_CACHE_HOME/sealsim, else ~/.cache/sealsim;
-    None if neither is an absolute path or a keyed source cannot be read.
-    The name is a BLAKE2b digest of the bytes read and of everything
-    that makes the values parsed from them: the source files of the
-    parser and of this cache, the Python and numpy versions and the byte
-    order.  So a changed sealsim never reads an entry that another
-    version wrote, and no machine reads one in another byte order.
-    """
-    try:
-        # the built-in module, not hashlib, which maps OpenSSL's libcrypto
-        from _blake2 import blake2b
-    except ImportError:
-        from hashlib import blake2b
-
-    root = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(root):
-        root = os.path.join(os.path.expanduser("~"), ".cache")
-    if not os.path.isabs(root):
-        return None
-    try:
-        sources = []
-        for name in (seals.__file__, __file__):
-            with open(name, "rb") as fh:
-                sources.append(fh.read())
-    except OSError:
-        return None
-    key = blake2b(digest_size=32)
-    versions = (sys.version, np.__version__, sys.byteorder)
-    for part in (*sources, *(v.encode() for v in versions), head, rows):
-        # each part's length keeps the split between parts out of the collisions
-        key.update(len(part).to_bytes(8, "little"))
-        key.update(part)
-    return os.path.join(root, "sealsim", key.hexdigest() + ".raw")
-
-
-def _read_entry(entry: str, dim: int) -> OverlapMatrix | None:
-    """The cached matrix, or None unless entry holds exactly dim x dim complex128 unit rows.
-
-    One byte more than the matrix is read, so a long entry fails the
-    reshape as a short one does, and a corrupt entry cannot make the
-    loader allocate more than the matrix it expects.
-    """
-    try:
-        with open(entry, "rb") as fh:
-            data = fh.read(16 * dim * dim + 1)
-        return OverlapMatrix(np.frombuffer(data, dtype=np.complex128).reshape(dim, dim))
-    except (OSError, ValueError):
-        # missing, unreadable, of another size, or values OverlapMatrix refuses
-        return None
-
-
-def _write_entry(entry: str, coefficients: np.ndarray) -> None:
-    """Cache coefficients at entry, beside the newest other entry only.
-
-    So two files that alternate both stay cached, and the directory holds
-    at most two matrices; every other file in it, a stale temporary one
-    too, is removed.  The file is written under a temporary name and
-    renamed, so a reader never sees it half written.  If the directory
-    cannot be written the matrix is not cached, silently.
-    """
-    directory, name = os.path.split(entry)
-    temp = f"{entry}.{os.getpid()}.tmp"
-    try:
-        os.makedirs(directory, exist_ok=True)
-        with open(temp, "wb") as fh:
-            coefficients.tofile(fh)
-        os.replace(temp, entry)
-        others = [os.path.join(directory, n) for n in os.listdir(directory) if n != name]
-        newest = max((p for p in others if p.endswith(".raw")), key=os.path.getmtime, default=None)
-        for other in others:
-            if other != newest:
-                with contextlib.suppress(OSError):
-                    os.unlink(other)
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.unlink(temp)
-
-
-def _load_lambda_file(path) -> OverlapMatrix:
-    """seals.load_overlap_matrix(path), reusing a matrix cached from the same bytes.
-
-    A command in a fresh process would otherwise parse the numbers of a
-    file it loaded before again.  "dim" is checked against the cap before
-    the cache is looked at, a cached matrix passes OverlapMatrix's checks
-    like a parsed one, and a matrix is cached only once they accepted it.
-    """
-    dim, head, rows = seals._read_overlap_file(path)
-    # the key hashes these copies, not the file, which may change meanwhile
-    entry = _cache_entry(head, rows)
-    if entry is not None and (cached := _read_entry(entry, dim)) is not None:
-        return cached
-    matrix = seals._parse_overlap_rows(path, dim, rows)
-    if entry is not None:
-        _write_entry(entry, matrix.coefficients)
-    return matrix
-
-
 def _seal_from_args(args) -> ProductSealSpec | OverlapMatrix:
     """Resolve the seal flags to exactly one source: bits or a loaded matrix."""
     if (args.bits is None) == (args.lambda_file is None):
@@ -179,6 +76,9 @@ def _seal_from_args(args) -> ProductSealSpec | OverlapMatrix:
         return _product_spec_from_args(args)
     if args.theta is not None or args.thetas is not None:
         raise UsageError("--theta and --thetas apply to --bits, not to --lambda-file")
+    # seals' loader for the commands, which caches the matrices it parses
+    from .seals import _load_lambda_file
+
     return _load_lambda_file(args.lambda_file)
 
 

@@ -1,4 +1,4 @@
-"""Sealed-state construction and the overlap-matrix file format.
+"""Sealed-state construction, the overlap-matrix file format and its cache.
 
 Two constructions are supported:
 
@@ -24,6 +24,8 @@ import contextlib
 import json
 import math
 import mmap
+import os
+import sys
 from dataclasses import dataclass
 from functools import reduce
 
@@ -269,6 +271,98 @@ def load_overlap_matrix(path) -> OverlapMatrix:
     """
     dim, _, rows = _read_overlap_file(path)
     return _parse_overlap_rows(path, dim, rows)
+
+
+def _cache_entry(head, rows) -> str | None:
+    """Path of the cached matrix for an overlap file read as head and rows.
+
+    The directory is $XDG_CACHE_HOME/sealsim, else ~/.cache/sealsim;
+    None if neither is an absolute path or this module's source cannot
+    be read.  The name is a
+    BLAKE2b digest of the bytes read and of everything that makes the
+    values parsed from them: this module's source, which holds the
+    parser and the entry format, the Python and numpy versions and the
+    byte order.  So a sealsim with another parser never reads an entry
+    that it wrote, and no machine reads one in another byte order.
+    """
+    try:
+        # the built-in module, not hashlib, which maps OpenSSL's libcrypto
+        from _blake2 import blake2b
+    except ImportError:
+        from hashlib import blake2b
+
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(root):
+        return None
+    try:
+        with open(__file__, "rb") as fh:
+            source = fh.read()
+    except OSError:
+        return None
+    key = blake2b(digest_size=32)
+    versions = (sys.version, np.__version__, sys.byteorder)
+    for part in (source, *(v.encode() for v in versions), head, rows):
+        # each part's length keeps the split between parts out of the collisions
+        key.update(len(part).to_bytes(8, "little"))
+        key.update(part)
+    return os.path.join(root, "sealsim", key.hexdigest() + ".raw")
+
+
+def _write_entry(entry: str, coefficients: np.ndarray) -> None:
+    """Cache coefficients at entry, beside the newest other entry only.
+
+    So two files that alternate both stay cached, and the directory holds
+    at most two matrices; every other file in it, a stale temporary one
+    too, is removed.  The file is written under a temporary name and
+    renamed, so a reader never sees it half written.  If the directory
+    cannot be written the matrix is not cached, silently.
+    """
+    directory, name = os.path.split(entry)
+    temp = f"{entry}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(directory, exist_ok=True)
+        with open(temp, "wb") as fh:
+            coefficients.tofile(fh)
+        os.replace(temp, entry)
+        others = [os.path.join(directory, n) for n in os.listdir(directory) if n != name]
+        newest = max((p for p in others if p.endswith(".raw")), key=os.path.getmtime, default=None)
+        for other in others:
+            if other != newest:
+                with contextlib.suppress(OSError):
+                    os.unlink(other)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+
+
+def _load_lambda_file(path) -> OverlapMatrix:
+    """load_overlap_matrix(path), reusing a matrix cached on disk from the same bytes.
+
+    The commands load their --lambda-file through this, so a fresh
+    process does not parse again the numbers of a file it loaded before.
+    "dim" is checked against the cap before the cache is looked at.  An
+    entry is the matrix's native complex128 bytes; one byte more than
+    the matrix is read, so a long entry fails the reshape as a short one
+    does and a corrupt one cannot make the loader allocate more.  An
+    entry passes OverlapMatrix's checks like a parsed matrix, and a
+    matrix is cached only once they accepted it.
+    """
+    dim, head, rows = _read_overlap_file(path)
+    # the key hashes these copies, not the file, which may change meanwhile
+    entry = _cache_entry(head, rows)
+    if entry is None:
+        return _parse_overlap_rows(path, dim, rows)
+    try:
+        with open(entry, "rb") as fh:
+            data = fh.read(16 * dim * dim + 1)
+        return OverlapMatrix(np.frombuffer(data, dtype=np.complex128).reshape(dim, dim))
+    except (OSError, ValueError):
+        pass  # missing, unreadable, of another size, or values OverlapMatrix refuses
+    matrix = _parse_overlap_rows(path, dim, rows)
+    _write_entry(entry, matrix.coefficients)
+    return matrix
 
 
 def save_overlap_matrix(matrix: OverlapMatrix, path) -> None:

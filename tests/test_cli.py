@@ -14,7 +14,6 @@ from sealsim.analysis import decode_matrix
 from sealsim.cli import (
     _decode_matrix_csv,
     _decode_matrix_json,
-    _load_lambda_file,
     _parse_grid,
     main,
 )
@@ -22,6 +21,7 @@ from sealsim.errors import ResourceError, ValidationError
 from sealsim.seals import (
     OverlapMatrix,
     ProductSealSpec,
+    _load_lambda_file,
     load_overlap_matrix,
     overlap_matrix,
     save_overlap_matrix,
@@ -704,10 +704,13 @@ class TestLambdaFileCache:
         _load_lambda_file(copy)
         assert json_loads_calls[0] == 5  # a miss
 
-    @pytest.mark.parametrize("module", [seals, cli], ids=["parser", "cache"])
-    def test_a_changed_loader_never_reads_an_older_entry(
-        self, tmp_path, cache, json_loads_calls, monkeypatch, module
+    @pytest.mark.parametrize(
+        "module, parsed_again", [(seals, True), (cli, False)], ids=["parser-and-cache", "cli"]
+    )
+    def test_only_a_changed_loader_misses_an_older_entry(
+        self, tmp_path, cache, json_loads_calls, monkeypatch, module, parsed_again
     ):
+        # seals holds the parser and the entry format, so its source alone is keyed
         path = DATA / "random16.json"
         _load_lambda_file(path)
         (older,) = entries(cache)
@@ -716,8 +719,8 @@ class TestLambdaFileCache:
         changed.write_bytes(Path(module.__file__).read_bytes() + b"\n")
         monkeypatch.setattr(module, "__file__", str(changed))
         _load_lambda_file(path)
-        assert json_loads_calls[0] == 4  # parsed again
-        (newer,) = set(entries(cache)) - {older}
+        assert json_loads_calls[0] == (4 if parsed_again else 3)
+        assert len(entries(cache)) == (2 if parsed_again else 1)
 
 
 IMPORT_PROBE = """

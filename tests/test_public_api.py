@@ -7,6 +7,7 @@ wrapper types and helpers that plain arrays and checked weights
 replaced, stay out of the runtime modules.
 """
 
+import ast
 import dataclasses
 import importlib
 import os
@@ -91,6 +92,9 @@ REMOVED = [
     ("cli", "_sig"),
 ]
 
+# the --lambda-file cache, now in seals beside the parser and entry format it keys
+MOVED_FROM_CLI_TO_SEALS = ["_cache_entry", "_read_entry", "_write_entry", "_load_lambda_file"]
+
 MOVED_METHODS = [
     ("MeasurementFamily", "apply"),
     ("ExperimentConfig", "sealed_state"),
@@ -163,6 +167,24 @@ def test_moved_names_are_gone_from_the_package(module, name):
     for runtime in RUNTIME_MODULES:
         assert not hasattr(importlib.import_module(f"sealsim.{runtime}"), name)
     assert not hasattr(sealsim, name)
+
+
+@pytest.mark.parametrize("name", MOVED_FROM_CLI_TO_SEALS)
+def test_the_cache_is_gone_from_the_cli(name):
+    assert not hasattr(importlib.import_module("sealsim.cli"), name)
+
+
+def test_the_cli_names_no_private_attribute_of_seals():
+    tree = ast.parse(Path(importlib.import_module("sealsim.cli").__file__).read_text("utf-8"))
+    named = [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "seals"
+        and node.attr.startswith("_")
+    ]
+    assert named == []
 
 
 def test_the_linalg_module_is_gone():
