@@ -277,8 +277,8 @@ def _cache_entry(head, rows) -> str | None:
     """Path of the cached matrix for an overlap file read as head and rows.
 
     The directory is $XDG_CACHE_HOME/sealsim, else ~/.cache/sealsim;
-    None if neither is an absolute path or this module's source cannot
-    be read.  The name is a
+    None if neither is an absolute path, CPython's built-in BLAKE2 is
+    missing or this module's source cannot be read.  The name is a
     BLAKE2b digest of the bytes read and of everything that makes the
     values parsed from them: this module's source, which holds the
     parser and the entry format, the Python and numpy versions and the
@@ -287,10 +287,10 @@ def _cache_entry(head, rows) -> str | None:
     """
     try:
         # the built-in module, not hashlib, which maps OpenSSL's libcrypto
+        # and has no BLAKE2 without this module either
         from _blake2 import blake2b
     except ImportError:
-        from hashlib import blake2b
-
+        return None
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):
         root = os.path.join(os.path.expanduser("~"), ".cache")

@@ -538,6 +538,14 @@ def write_npy(entry: Path, coefficients: np.ndarray) -> None:
         np.lib.format.write_array(fh, coefficients, version=(1, 0), allow_pickle=False)
 
 
+BLAKE2_RUN = """
+import runpy, sys
+if sys.argv.pop(1) == "hidden":
+    sys.modules["_blake2"] = None  # any import of _blake2 now raises ImportError
+runpy.run_module("sealsim", run_name="__main__", alter_sys=True)
+"""
+
+
 class TestLambdaFileCache:
     @pytest.mark.parametrize("name", ("random16.json", "sparse16.json", "random64.json", "product"))
     def test_a_hit_equals_a_miss_bit_for_bit(self, tmp_path, cache, json_loads_calls, name):
@@ -661,6 +669,23 @@ class TestLambdaFileCache:
         assert caught == []
         assert capsys.readouterr() == ("", "")
         assert left == ([home / "sealsim"] if kind == "read-only" else [])  # nothing cached
+
+    def test_a_missing_builtin_blake2_is_no_cache(self, tmp_path):
+        # hashlib takes BLAKE2 from the same module, so no key can be made without it
+        command = ("sweep", "--lambda-file", str(DATA / "random16.json"))
+        runs = {
+            hidden: subprocess.run(
+                [sys.executable, "-c", BLAKE2_RUN, hidden, *command],
+                capture_output=True,
+                env={**os.environ, "XDG_CACHE_HOME": str(tmp_path / hidden)},
+                timeout=120,
+            )
+            for hidden in ("hidden", "present")
+        }
+        assert (runs["hidden"].returncode, runs["hidden"].stderr) == (0, b"")
+        assert runs["hidden"].stdout == runs["present"].stdout
+        assert not (tmp_path / "hidden").exists()
+        assert len(entries(tmp_path / "present" / "sealsim")) == 1
 
     def test_two_files_that_alternate_are_parsed_once_each(self, cache, json_loads_calls):
         for name in ("random16.json", "sparse16.json") * 2:
