@@ -188,11 +188,26 @@ def _rows_layout(dim: int) -> bytes:
 
 
 def _map_or_read(fh):
-    """An open file's bytes, mapped read-only, or read in full if it cannot be (empty, a pipe)."""
+    """An open file's bytes: mapped read-only, or read as they come if it cannot be (empty, a pipe).
+
+    A stream is read in chunks into one buffer.  When its first '[' comes,
+    the head before it is checked as if "rows" were null there, so a
+    "dim" above the cap raises ResourceError before the rest is read.  A
+    head that only the whole stream can judge ("dim" after "rows", say)
+    is checked once the stream has ended.
+    """
     try:
         return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except (OSError, ValueError):
-        return contextlib.nullcontext(fh.read())
+        pass
+    text, start = bytearray(), -1
+    # read1 returns what has come; read(n) would wait for n bytes
+    while chunk := fh.read1(1 << 16):
+        text += chunk
+        if start < 0 and (start := text.find(b"[", len(text) - len(chunk))) >= 0:
+            with contextlib.suppress(ValueError):  # the full check follows the read
+                _head_dim(text[:start] + b"null}")
+    return contextlib.nullcontext(text)
 
 
 @contextlib.contextmanager
@@ -205,6 +220,23 @@ def _malformed_overlap_file(path):
     except (ValueError, OverflowError) as exc:
         # not UTF-8 JSON, wrong keys or 'dim', ragged or non-numeric 'rows'
         raise ValidationError(f"{path}: malformed overlap file: {exc!r}") from exc
+
+
+def _head_dim(head) -> int:
+    """The "dim" of an overlap file's head, checked against the cap.
+
+    The head is the file's text with "rows" replaced by null.
+    """
+    pairs = json.loads(head.decode("utf-8"), object_pairs_hook=list)
+    if not isinstance(pairs, list) or sorted(key for key, _ in pairs) != ["dim", "rows"]:
+        raise ValueError("the file must hold one object with exactly the keys 'dim' and 'rows'")
+    fields = dict(pairs)
+    dim = fields["dim"]
+    if fields["rows"] is not None:
+        raise ValueError("'rows' must be an array")
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"'dim' must be an integer >= 1, got {dim!r}")
+    return check_dim(dim)
 
 
 def _read_overlap_file(path) -> tuple[int, bytes, bytes]:
@@ -221,17 +253,7 @@ def _read_overlap_file(path) -> tuple[int, bytes, bytes]:
         # the first '[' opens "rows" and the last ']' closes it: no other
         # value of a well-formed file holds a bracket
         head = text[:start] + b"null" + text[end:]
-        pairs = json.loads(head.decode("utf-8"), object_pairs_hook=list)
-        if not isinstance(pairs, list) or sorted(key for key, _ in pairs) != ["dim", "rows"]:
-            raise ValueError("the file must hold one object with exactly the keys 'dim' and 'rows'")
-        fields = dict(pairs)
-        dim = fields["dim"]
-        if fields["rows"] is not None:
-            raise ValueError("'rows' must be an array")
-        if type(dim) is not int or dim < 1:
-            raise ValueError(f"'dim' must be an integer >= 1, got {dim!r}")
-        check_dim(dim)
-        return dim, head, text[start:end]
+        return _head_dim(head), head, text[start:end]
 
 
 def _parse_overlap_rows(path, dim: int, rows: bytes) -> OverlapMatrix:

@@ -831,6 +831,53 @@ class TestLambdaFileSources:
         assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
         assert runs[0].stdout and runs[1].stdout == runs[0].stdout
 
+    @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="needs /dev/stdin")
+    def test_a_piped_head_above_the_cap_exits_3_before_the_pipe_ends(self):
+        # the writer holds the pipe open: the command has only the head to go on
+        with subprocess.Popen(
+            [sys.executable, "-m", "sealsim", "sweep", "--lambda-file", "/dev/stdin"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "SEALSIM_MAX_DIM": "64"},
+        ) as proc:
+            try:
+                proc.stdin.write(b'{"dim": 100000, "rows": [[[1.0, 0.0], ')
+                proc.stdin.flush()
+                code = proc.wait(timeout=30)
+            finally:
+                proc.kill()
+            out, err = proc.stdout.read(), proc.stderr.read()
+        assert (code, out) == (3, b"")
+        assert err == (
+            b"resource error: dimension 100000 exceeds the cap of 64; "
+            b"set SEALSIM_MAX_DIM to raise it\n"
+        )
+
+    @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="needs /dev/stdin")
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            # the head alone decides, so a malformed tail is never read
+            (b'{"dim": 100000, "rows": [[[1.0, 0.0]', 3),
+            # "rows" comes first, so the cap waits for the whole stream
+            (b'{"rows": [[[1.0, 0.0]]], "dim": 100000}', 3),
+            (b'{"rows": [[[1.0, 0.0]]], "dim": 100000', 2),
+            (b'{"dim": 2, "rows": [[[1.0, 0.0]', 2),
+        ],
+        ids=["dim-first-malformed-tail", "dim-last", "dim-last-malformed", "under-the-cap"],
+    )
+    def test_a_piped_file_s_cap_is_read_from_its_head_or_at_its_end(self, text, code):
+        result = subprocess.run(
+            [sys.executable, "-m", "sealsim", "sweep", "--lambda-file", "/dev/stdin"],
+            input=text,
+            capture_output=True,
+            env={**os.environ, "SEALSIM_MAX_DIM": "64"},
+            timeout=120,
+        )
+        assert (result.returncode, result.stdout) == (code, b"")
+        assert result.stderr.startswith(b"resource error:" if code == 3 else b"error:")
+
     def test_empty_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
         path.write_bytes(b"")
