@@ -295,7 +295,7 @@ def load_overlap_matrix(path) -> OverlapMatrix:
     return _parse_overlap_rows(path, dim, rows)
 
 
-def _cache_entry(head, rows) -> str | None:
+def _cache_entry(head: bytes, rows: bytes) -> str | None:
     """Path of the cached matrix for an overlap file read as head and rows.
 
     The directory is $XDG_CACHE_HOME/sealsim, else ~/.cache/sealsim;
@@ -304,8 +304,8 @@ def _cache_entry(head, rows) -> str | None:
     BLAKE2b digest of the bytes read and of everything that makes the
     values parsed from them: this module's source, which holds the
     parser and the entry format, the Python and numpy versions and the
-    byte order.  So a sealsim with another parser never reads an entry
-    that it wrote, and no machine reads one in another byte order.
+    byte order.  So no sealsim reads an entry written under another
+    parser, and no machine reads one in another byte order.
     """
     try:
         # the built-in module, not hashlib, which maps OpenSSL's libcrypto

@@ -862,10 +862,9 @@ class TestLambdaFileSources:
             (b'{"dim": 100000, "rows": [[[1.0, 0.0]', 3),
             # "rows" comes first, so the cap waits for the whole stream
             (b'{"rows": [[[1.0, 0.0]]], "dim": 100000}', 3),
-            (b'{"rows": [[[1.0, 0.0]]], "dim": 100000', 2),
             (b'{"dim": 2, "rows": [[[1.0, 0.0]', 2),
         ],
-        ids=["dim-first-malformed-tail", "dim-last", "dim-last-malformed", "under-the-cap"],
+        ids=["dim-first-malformed-tail", "dim-last", "under-the-cap-malformed"],
     )
     def test_a_piped_file_s_cap_is_read_from_its_head_or_at_its_end(self, text, code):
         result = subprocess.run(
