@@ -9,8 +9,9 @@ do-nothing component, so the sweep reports 1 - nu and sums no column.
 
 Every closed form reads the weights W = |c|^2 of the sealed rows.  They
 are checked once, where amplitudes enter: `OverlapMatrix`, or
-`errors.unit_norm_weights` for rows from anywhere else; a complex array,
-which can only be amplitudes, is refused as weights.  Since each row
+`errors.unit_norm_weights` for rows from anywhere else; a row built from
+checked angles is unit-norm by construction.  A complex array, which can
+only be amplitudes, is refused as weights.  Since each row
 of W is non-negative and sums to 1 within NORM_ATOL, every decode row
 (1-nu)/N + nu w sums to 1 within that tolerance and stays at or above
 the flat floor (1-nu)/N; nothing here checks them again.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import MeasurementFamily
-from .errors import UsageError, check_unit_interval, real_weights, unit_norm_weights
+from .errors import UsageError, check_unit_interval, real_weights
 from .seals import OverlapMatrix, _check_angle
 
 
@@ -175,5 +176,5 @@ def bit_seal_point(theta: float, nu: float) -> tuple[float, float]:
     check_unit_interval("nu", nu)
     alpha = (1.0 - nu) / 2.0 + nu * math.cos(theta) ** 2
     row = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
-    beta = 1.0 - average_fidelity(unit_norm_weights(row, "bit seal"), nu)
+    beta = 1.0 - average_fidelity(np.abs(row) ** 2, nu)
     return alpha, beta

@@ -29,7 +29,7 @@ from .analysis import (
     mutual_information,
 )
 from .attacks import MeasurementFamily, coin_toss_probabilities
-from .errors import ResourceError, max_dim, unit_norm_weights
+from .errors import ResourceError, max_dim
 from .montecarlo import (
     GENERATOR_NAME,
     CoinTossStrategy,
@@ -118,7 +118,7 @@ def _decode_closed_form_gap(seed: int) -> float:
     worst = 0.0
     for n in (2, 4, 16):
         rows = _random_unit_rows(seed, n, 100)
-        weights = unit_norm_weights(rows, "random rows")
+        weights = np.abs(rows) ** 2
         for nu in NU_GRID_FINE:
             family = MeasurementFamily.from_nu(n, nu)
             ops = np.stack([family.operator(i) for i in range(n)])
@@ -200,7 +200,7 @@ def check_fidelity_collapse(seed: int) -> Verdict:
     for n in (2, 4, 16):
         rows = _random_unit_rows(seed, n, 50)
         quartic = np.sum(np.abs(rows) ** 4, axis=-1)
-        fidelity = average_fidelity(unit_norm_weights(rows, "random rows"), 1.0)
+        fidelity = average_fidelity(np.abs(rows) ** 2, 1.0)
         worst = max(worst, float(np.max(np.abs(fidelity - quartic))))
     passed &= worst <= EXACT_ATOL
     details.append(f"max |fidelity - sum |c|^4| = {_fmt(worst)} on random rows")
@@ -208,7 +208,7 @@ def check_fidelity_collapse(seed: int) -> Verdict:
     for m in (1, 4, 10):
         n = 2**m
         spec = ProductSealSpec.shared_theta("0" * m, math.pi / 4)
-        value = average_fidelity(unit_norm_weights(product_seal(spec), "sealed row"), 1.0)
+        value = average_fidelity(np.abs(product_seal(spec)) ** 2, 1.0)
         ok = abs(value - 1.0 / n) <= EXACT_ATOL
         passed &= ok
         details.append(

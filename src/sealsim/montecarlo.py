@@ -33,9 +33,9 @@ fidelities by rounding, so a draw within an ulp of a threshold could
 split the two.)
 
 Sampler contract: an outcome draw u in [0, 1) selects, by inverse CDF,
-`_sample_index(cumulative, u)` over the `_cumulative` weight sums: the
-first outcome whose running sum exceeds u times the total, or the last
-outcome if none does.  `run_experiment` builds a `_GuideTable` once per
+`_sample_index(cumulative, u)` over the `np.cumsum` of the weights, which
+sum to 1 within NORM_ATOL: the first outcome whose running sum exceeds u
+times the total, or the last outcome if none does.  `run_experiment` builds a `_GuideTable` once per
 run and looks each draw up in it, searching only the draws that land in
 a bin holding a step of the CDF; it selects that same outcome for every
 draw, so the counts do not depend on the table.  `validate` judges one
@@ -53,7 +53,7 @@ import numpy as np
 
 from .analysis import average_fidelity, decode_probabilities
 from .attacks import MeasurementFamily, coin_toss_escape_probability, coin_toss_probabilities
-from .errors import UsageError, ValidationError, check_unit_interval, unit_norm_weights
+from .errors import UsageError, ValidationError, check_unit_interval
 from .seals import OverlapMatrix, ProductSealSpec, product_seal
 
 GENERATOR_NAME = "philox4x64"
@@ -191,19 +191,10 @@ def _uniform(words: np.ndarray) -> np.ndarray:
     return (words >> 11) * 2.0**-53
 
 
-def _cumulative(weights: np.ndarray) -> np.ndarray:
-    """Running sums of outcome weights, which must sum to 1 within 1e-9."""
-    cumulative = np.cumsum(weights)
-    total = cumulative[-1]
-    if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
-        raise UsageError(f"outcome weights sum to {total}, expected 1")
-    return cumulative
-
-
 def _sample_index(cumulative: np.ndarray, uniforms):
     """Outcome index for a uniform draw, or an array of draws, by inverse CDF.
 
-    `cumulative` holds the `_cumulative` running sums of the weights.
+    `cumulative` holds the `np.cumsum` running sums of the weights.
     """
     index = np.searchsorted(cumulative, uniforms * cumulative[-1], side="right")
     return np.minimum(index, len(cumulative) - 1)
@@ -261,13 +252,13 @@ def run_experiment(config: ExperimentConfig) -> EmpiricalStats:
     per-round attack and verifier over the same draw table.  The tables
     are built once; the rounds are tallied in draw_chunks blocks.
     """
-    weights = unit_norm_weights(config.sealed_row(), "sealed state")
+    weights = np.abs(config.sealed_row()) ** 2
     n = len(weights)
 
     if isinstance(config.strategy, FamilyStrategy):
         family = MeasurementFamily.from_nu(n, config.strategy.nu)
         probs, pass_probs = _family_tables(weights, family)
-        sample = _GuideTable(_cumulative(probs))
+        sample = _GuideTable(np.cumsum(probs))
 
         def tally(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             outcomes = sample(_uniform(words[:, 0]))
@@ -275,7 +266,7 @@ def run_experiment(config: ExperimentConfig) -> EmpiricalStats:
 
     else:
         q = check_unit_interval("read probability", config.strategy.q)
-        sample = _GuideTable(_cumulative(weights))
+        sample = _GuideTable(np.cumsum(weights))
 
         def tally(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             acted = _uniform(words[:, 0]) < q
@@ -396,7 +387,7 @@ def validate(config: ExperimentConfig) -> dict:
     chi_square_check judges the decode histogram, escape_band_check the pass rate.
     """
     sealed_row = config.sealed_row()
-    weights = unit_norm_weights(sealed_row, "sealed state")
+    weights = np.abs(sealed_row) ** 2
     strategy = config.strategy
     if isinstance(strategy, FamilyStrategy):
         expected = decode_probabilities(weights, strategy.nu)

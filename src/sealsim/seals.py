@@ -159,12 +159,10 @@ def product_states(thetas, messages) -> np.ndarray:
     qubits = np.stack(
         [_bit_factor(t)[bits[:, k]] for k, t in enumerate(thetas)], axis=1
     )
-    unit_norm_weights(qubits, "qubit states")
     rows = len(messages)
     states = qubits[:, 0]
     for k in range(1, len(thetas)):
         states = (states[:, :, None] * qubits[:, k, None, :]).reshape(rows, 2 ** (k + 1))
-    unit_norm_weights(states, "product states")
     return states
 
 

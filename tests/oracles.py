@@ -35,7 +35,6 @@ from sealsim.montecarlo import (
     EmpiricalStats,
     ExperimentConfig,
     FamilyStrategy,
-    _cumulative,
     _philox,
     _sample_index,
 )
@@ -131,7 +130,7 @@ def run_attack(
     if len(sealed) != family.dim:
         raise UsageError(f"dimension mismatch: sealed {len(sealed)}, family {family.dim}")
     probs = family.outcome_probabilities(weights)
-    outcome = int(_sample_index(_cumulative(probs), rng.random()))
+    outcome = int(_sample_index(np.cumsum(probs), rng.random()))
     _, post = family_apply(family, outcome, sealed)
     assert post is not None  # sampled outcomes have positive probability
     return AttackOutcome(decoded=outcome, post_state=post, acted=True)
@@ -151,7 +150,7 @@ def coin_toss_attack(
     weights = unit_norm_weights(sealed, "sealed state")
     n = len(sealed)
     if rng.random() < q:
-        outcome = int(_sample_index(_cumulative(weights), rng.random()))
+        outcome = int(_sample_index(np.cumsum(weights), rng.random()))
         return AttackOutcome(decoded=outcome, post_state=basis_state(n, outcome), acted=True)
     guess = min(int(rng.random() * n), n - 1)
     return AttackOutcome(decoded=guess, post_state=sealed, acted=False)

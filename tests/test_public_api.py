@@ -90,6 +90,7 @@ REMOVED = [
     ("montecarlo", "_chi_square_critical"),
     ("attacks", "measurement_family"),
     ("cli", "_sig"),
+    ("montecarlo", "_cumulative"),
 ]
 
 # the --lambda-file cache, now in seals beside the parser and entry format it keys
