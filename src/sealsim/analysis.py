@@ -86,7 +86,7 @@ def mutual_information(probs: np.ndarray) -> float:
     """I(message; decoded) in bits under a uniform message prior.
 
     Computed as H(decoded) - H(decoded | message) with the convention
-    0 log 0 = 0; clamped at 0 against floating-point cancellation.
+    0 log 0 = 0; clamped at 0 against floating-point cancellation, as +0.0.
     """
     marginal = probs.mean(axis=0)
     h_decoded = _entropy_bits(marginal)
@@ -100,7 +100,7 @@ def mutual_information(probs: np.ndarray) -> float:
     entropies = np.empty(probs.shape[0])
     entropies[zero_free] = -terms.sum(axis=1)
     entropies[~zero_free] = [_entropy_bits(row) for row in probs[~zero_free]]
-    return max(h_decoded - float(np.mean(entropies)), 0.0)
+    return max(0.0, h_decoded - float(np.mean(entropies)))
 
 
 def _entropy_bits(distribution: np.ndarray) -> float:

@@ -41,8 +41,8 @@ class MeasurementFamily:
     @classmethod
     def from_nu(cls, dim: int, nu: float) -> "MeasurementFamily":
         """The complete N-operator family at read strength nu: two coefficients, no array."""
-        if dim < 2:
-            raise UsageError(f"dimension must be at least 2, got {dim}")
+        if dim < 1:
+            raise UsageError(f"dimension must be at least 1, got {dim}")
         check_unit_interval("nu", nu)
         a = math.sqrt((1.0 - nu) / dim)
         b = math.sqrt((1.0 - nu) / dim + nu) - a

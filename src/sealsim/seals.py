@@ -210,13 +210,13 @@ def _map_or_read(fh):
 
 @contextlib.contextmanager
 def _malformed_overlap_file(path):
-    """Raise a ValueError or OverflowError from reading path's JSON as ValidationError."""
+    """Raise a ValueError, OverflowError or RecursionError from path's JSON as ValidationError."""
     try:
         yield
     except UsageError:
         raise  # a malformed SEALSIM_MAX_DIM is not a fault of the file
-    except (ValueError, OverflowError) as exc:
-        # not UTF-8 JSON, wrong keys or 'dim', ragged or non-numeric 'rows'
+    except (ValueError, OverflowError, RecursionError) as exc:
+        # not UTF-8 JSON, wrong keys or 'dim', nested too deep, ragged or non-numeric 'rows'
         raise ValidationError(f"{path}: malformed overlap file: {exc!r}") from exc
 
 

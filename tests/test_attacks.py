@@ -41,7 +41,7 @@ class TestFromNu:
         with pytest.raises(UsageError):
             MeasurementFamily.from_nu(2, -0.1)
         with pytest.raises(UsageError):
-            MeasurementFamily.from_nu(1, 0.5)
+            MeasurementFamily.from_nu(0, 0.5)
 
     def test_no_dimension_cap(self, monkeypatch):
         # two coefficients allocate nothing; the cap guards operator()

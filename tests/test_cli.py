@@ -476,15 +476,24 @@ class TestMalformedLambdaFile:
         assert out == ""
 
 
-# files the loader must refuse without a warning on the way: once, the first
-# was accepted, the infinite imaginary part of the second warned in a multiply,
-# and the third overflowed when its modulus was squared
+# a head whose "dim" and "rows" are fine, but whose third key nests objects
+# deeper than json.loads recurses
+DEEP_HEAD = b"".join((
+    b'{"dim": 2, "x": ', b'{"a": ' * 100_000, b"1", b"}" * 100_000,
+    b', "rows": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}',
+))
+
+# files the loader must refuse without a warning or traceback on the way: once,
+# the first was accepted, the infinite imaginary part of the second warned in a
+# multiply, the third overflowed when its modulus was squared and the fourth
+# ended in a RecursionError traceback with exit 1
 REFUSED_UNDER_W_ERROR = {
     "number-outside-its-pair": MALFORMED_LAMBDA_FILES["number-outside-its-pair"],
     "infinite-imaginary-part": (
         b'{"dim": 2, "rows": [[[0.6, 0.0], [0.0, 0.8]], [[0.8, 0.0], [-0.6, Infinity]]]}'
     ),
     "too-large-to-square": b'{"dim": 1, "rows": [[[1e200, 0.0]]]}',
+    "head-nested-too-deep": DEEP_HEAD,
 }
 
 
@@ -505,6 +514,36 @@ def test_a_refused_file_exits_2_without_a_traceback_under_w_error(tmp_path, kind
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
+
+
+class TestOneByOneFile:
+    """N = 1, which the loader accepts: the read learns nothing and disturbs nothing."""
+
+    @pytest.fixture
+    def one(self, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_bytes(b'{"dim": 1, "rows": [[[1.0, 0.0]]]}')
+        return str(path)
+
+    def test_sweep_prints_zero_information_and_full_guess_and_escape(self, capsys, one):
+        code, out, err = run_cli(capsys, "sweep", "--lambda-file", one, "--grid", "0,0.5,1")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "nu,mi_bits,guess_prob,escape_prob,flat_mass",
+            "0,0,1,1,1",
+            "0.5,0,1,1,0.5",
+            "1,0,1,1,0",
+        ]
+
+    @pytest.mark.parametrize("strategy", (("--nu", "0.5"), ("--coin-q", "0.5")), ids=" ".join)
+    def test_mc_validate_passes_every_trial(self, capsys, one, strategy):
+        code, out, err = run_cli(
+            capsys, "mc-validate", "--lambda-file", one, *strategy, "--trials", "1000"
+        )
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert (record["decode_counts"], record["pass_count"]) == ([1000], 1000)
+        assert record["checks"]["chi_square"]["pass"] and record["checks"]["escape"]["pass"]
 
 
 @pytest.fixture
@@ -876,6 +915,19 @@ class TestLambdaFileSources:
         )
         assert (result.returncode, result.stdout) == (code, b"")
         assert result.stderr.startswith(b"resource error:" if code == 3 else b"error:")
+
+    @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="needs /dev/stdin")
+    def test_a_piped_head_nested_too_deep_exits_2_without_a_traceback_under_w_error(self):
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "sealsim"]
+            + ["sweep", "--lambda-file", "/dev/stdin"],
+            input=DEEP_HEAD,
+            capture_output=True,
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr.startswith(b"error: /dev/stdin: malformed overlap file")
+        assert b"Traceback" not in result.stderr
 
     def test_empty_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
