@@ -51,7 +51,7 @@ from sealsim.analysis import (
 )
 from sealsim.attacks import MeasurementFamily, coin_toss_probabilities
 from sealsim.claims import THETA_GRID, seal_suite
-from sealsim.errors import UsageError, unit_norm_weights
+from sealsim.errors import NORM_ATOL, UsageError, unit_norm_weights
 from sealsim.montecarlo import _family_tables, _GuideTable, _sample_index
 from sealsim.seals import (
     OverlapMatrix,
@@ -88,6 +88,8 @@ def matrices():
 
 
 MATRICES = dict(matrices())
+# the matrices read from tests/data, whose rows OverlapMatrix checked
+CHECKED_MATRICES = ("random16", "sparse16", "golden-random64")
 
 
 def qubit_by_qubit(message: int, thetas) -> np.ndarray:
@@ -409,6 +411,21 @@ class TestProperties:
         states = product_states(thetas, messages)
         for row, message in zip(states, messages):
             assert np.array_equal(row, qubit_by_qubit(message, thetas))
+
+    @fixed
+    @given(st.lists(angles, min_size=1, max_size=12), st.data(), nus)
+    def test_built_rows_and_their_outcome_probabilities_sum_to_one(self, thetas, data, nu):
+        # the invariants that let the package take |c|^2 of a row it built
+        # and cumsum an outcome row without checking either sum again
+        m = len(thetas)
+        drawn = data.draw(st.lists(st.integers(0, 2**m - 1), max_size=6))
+        built = np.abs(product_states(thetas, [0, 2**m - 1, *drawn])) ** 2
+        assert np.max(np.abs(built.sum(axis=1) - 1.0)) <= NORM_ATOL
+        stacks = [built] + [MATRICES[name].weights for name in CHECKED_MATRICES]
+        for weights in stacks:
+            family = MeasurementFamily.from_nu(weights.shape[1], nu)
+            for row in weights:
+                assert abs(family.outcome_probabilities(row).sum() - 1.0) <= NORM_ATOL
 
     @fixed
     @given(unit_rows(), nus)
