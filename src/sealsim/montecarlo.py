@@ -33,13 +33,13 @@ fidelities by rounding, so a draw within an ulp of a threshold could
 split the two.)
 
 Sampler contract: an outcome draw u in [0, 1) selects, by inverse CDF,
-`_sample_index(cumulative, u)` over the `np.cumsum` of the weights, which
-sum to 1 within NORM_ATOL: the first outcome whose running sum exceeds u
-times the total, or the last outcome if none does.  `run_experiment` builds a `_GuideTable` once per
-run and looks each draw up in it, searching only the draws that land in
-a bin holding a step of the CDF; it selects that same outcome for every
-draw, so the counts do not depend on the table.  `validate` judges one
-run against the strategy's closed forms.
+`_sample_index(cumulative, u)` over the `np.cumsum` of weights that sum
+to 1: the first outcome whose running sum exceeds u times the total, or
+the last outcome if none does.  `run_experiment` builds a `_GuideTable`
+once per run and looks each draw up in it, searching only the draws that
+land in a bin holding a step of the CDF; it selects that same outcome
+for every draw, so the counts do not depend on the table.  `validate`
+judges one run against the strategy's closed forms.
 """
 
 from __future__ import annotations
