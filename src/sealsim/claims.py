@@ -1,10 +1,12 @@
 """Built-in fixture suite checking every security claim mechanically.
 
-Each check_* returns (passed, details), details a tuple of strings.
+Each check_* returns its report lines, a list of (ok, text) pairs: every
+line carries its own verdict, and informational lines carry True.
 run_claims names every claim once, by key and description, and numbers
-them in order; _guarded turns each check's verdict into a ClaimResult,
-which the CLI renders as a PASS/FAIL report and the acceptance tests
-assert one by one.  Tolerances are pinned here, not in the callers:
+them in order; _guarded turns each check's lines into a ClaimResult,
+which passes only if every line does; the CLI renders the results as a
+PASS/FAIL report and the acceptance tests assert them one by one.
+Tolerances are pinned here, not in the callers:
 
 - exact algebra (completeness, closed forms, the two seal constructions): 1e-12
 - probability floors: 1e-15
@@ -61,7 +63,7 @@ class ClaimResult:
     details: tuple[str, ...] = ()
 
 
-Verdict = tuple[bool, tuple[str, ...]]  # what a check_* returns: (passed, details)
+Lines = list[tuple[bool, str]]  # what a check_* returns: one (ok, text) per report line
 
 
 @cache
@@ -92,7 +94,7 @@ def _fmt(value: float) -> str:
     return format(value, ".6e")
 
 
-def check_povm_completeness() -> Verdict:
+def check_povm_completeness() -> Lines:
     """Sum of Q^dag Q equals the identity for every (N, nu) on the grid."""
     worst = 0.0
     worst_at = (0, 0.0)
@@ -101,10 +103,11 @@ def check_povm_completeness() -> Verdict:
             dev = MeasurementFamily.from_nu(n, nu).completeness_deviation()
             if dev > worst:
                 worst, worst_at = dev, (n, nu)
-    return worst <= EXACT_ATOL, (
-        f"max |sum Q^dag Q - I| = {_fmt(worst)} at N={worst_at[0]}, nu={worst_at[1]}",
-        f"grid: N in {COMPLETENESS_DIMS}, nu in {NU_GRID_COARSE}",
-    )
+    return [
+        (worst <= EXACT_ATOL,
+         f"max |sum Q^dag Q - I| = {_fmt(worst)} at N={worst_at[0]}, nu={worst_at[1]}"),
+        (True, f"grid: N in {COMPLETENESS_DIMS}, nu in {NU_GRID_COARSE}"),
+    ]
 
 
 def _random_unit_rows(seed: int, n: int, count: int) -> np.ndarray:
@@ -132,34 +135,36 @@ def _decode_closed_form_gap(seed: int) -> float:
     return worst
 
 
-def check_decode_closed_form(seed: int) -> Verdict:
+def check_decode_closed_form(seed: int) -> Lines:
     """Closed-form decode probabilities match dense operator application."""
     worst = _decode_closed_form_gap(seed)
-    return worst <= EXACT_ATOL, (
-        f"max |closed - dense| = {_fmt(worst)} over 100 rows x N in (2,4,16) x 11 nu",
-    )
+    return [
+        (worst <= EXACT_ATOL,
+         f"max |closed - dense| = {_fmt(worst)} over 100 rows x N in (2,4,16) x 11 nu"),
+    ]
 
 
-def check_decode_floor() -> Verdict:
+def check_decode_floor() -> Lines:
     """At nu = 1/2 every decode entry is at least 1/(2N)."""
     worst_margin = float("inf")
     for m, theta, om in seal_suite():
         floor = 1.0 / (2.0 * om.dim)
         margin = float(np.min(decode_matrix(om, 0.5))) - floor
         worst_margin = min(worst_margin, margin)
-    return worst_margin >= -FLOOR_ATOL, (
-        f"min entry - 1/(2N) = {_fmt(worst_margin)} over bits<= {SUITE_MAX_BITS}, "
-        f"theta in {THETA_GRID_LABEL}",
-    )
+    return [
+        (worst_margin >= -FLOOR_ATOL,
+         f"min entry - 1/(2N) = {_fmt(worst_margin)} over bits<= {SUITE_MAX_BITS}, "
+         f"theta in {THETA_GRID_LABEL}"),
+    ]
 
 
-def check_flat_posterior() -> Verdict:
+def check_flat_posterior() -> Lines:
     """At nu = 1/2 half the posterior is flat for every decoded value."""
     worst = 0.0
     for m, theta, om in seal_suite():
         masses = flat_posterior_masses(decode_matrix(om, 0.5), 0.5)
         worst = max(worst, float(np.max(np.abs(masses - 0.5))))
-    return worst <= EXACT_ATOL, (f"max |flat mass - 1/2| = {_fmt(worst)}",)
+    return [(worst <= EXACT_ATOL, f"max |flat mass - 1/2| = {_fmt(worst)}")]
 
 
 MC_FIXTURES = (
@@ -169,70 +174,59 @@ MC_FIXTURES = (
 )
 
 
-def check_escape_floor(seed: int, trials: int) -> Verdict:
+def check_escape_floor(seed: int, trials: int) -> Lines:
     """At nu = 1/2 the attack escapes detection at least half the time."""
-    details = []
-    passed = True
-
     worst = float("inf")
     for m, theta, om in seal_suite():
         worst = min(worst, escape_probability(om, 0.5))
-    passed &= worst >= 0.5
-    details.append(f"min message-averaged fidelity = {_fmt(worst)} (analytic, >= 0.5)")
+    lines = [(worst >= 0.5, f"min message-averaged fidelity = {_fmt(worst)} (analytic, >= 0.5)")]
 
     for spec in MC_FIXTURES:
         band = _experiment(ExperimentConfig(spec, FamilyStrategy(0.5), trials, seed))["escape"]
-        passed &= band["pass"]
-        details.append(
+        lines.append((
+            band["pass"],
             f"bits={spec.bits} pass rate {band['empirical']:.6f} vs analytic "
             f"{band['analytic']:.6f} (3 sigma = {_fmt(band['three_sigma'])}): "
-            f"{'ok' if band['pass'] else 'OUT OF BAND'}"
-        )
-    return passed, tuple(details)
+            f"{'ok' if band['pass'] else 'OUT OF BAND'}",
+        ))
+    return lines
 
 
-def check_fidelity_collapse(seed: int) -> Verdict:
+def check_fidelity_collapse(seed: int) -> Lines:
     """At nu = 1 the average fidelity is sum |c|^4, vanishing for flat seals."""
-    details = []
-    passed = True
-
     worst = 0.0
     for n in (2, 4, 16):
         rows = _random_unit_rows(seed, n, 50)
         quartic = np.sum(np.abs(rows) ** 4, axis=-1)
         fidelity = average_fidelity(np.abs(rows) ** 2, 1.0)
         worst = max(worst, float(np.max(np.abs(fidelity - quartic))))
-    passed &= worst <= EXACT_ATOL
-    details.append(f"max |fidelity - sum |c|^4| = {_fmt(worst)} on random rows")
+    lines = [(worst <= EXACT_ATOL, f"max |fidelity - sum |c|^4| = {_fmt(worst)} on random rows")]
 
     for m in (1, 4, 10):
         n = 2**m
         spec = ProductSealSpec.shared_theta("0" * m, math.pi / 4)
         value = average_fidelity(np.abs(product_seal(spec)) ** 2, 1.0)
         ok = abs(value - 1.0 / n) <= EXACT_ATOL
-        passed &= ok
-        details.append(
+        lines.append((
+            ok,
             f"uniform seal m={m}: fidelity {value:.10g} vs 1/N = {1.0 / n:.10g}: "
-            f"{'ok' if ok else 'MISMATCH'}"
-        )
-    return passed, tuple(details)
+            f"{'ok' if ok else 'MISMATCH'}",
+        ))
+    return lines
 
 
-def check_coin_toss_equivalence(seed: int, trials: int) -> Verdict:
+def check_coin_toss_equivalence(seed: int, trials: int) -> Lines:
     """Coin toss at q reproduces the family's decode distribution at nu = q."""
-    details = []
-    passed = True
-
     exact = all(
         np.array_equal(coin_toss_probabilities(weights, q), decode_probabilities(weights, q))
         for weights in (om.weights for m, _, om in seal_suite() if m <= 4)
         for q in (0.25, 0.5, 0.9)
     )
-    passed &= exact
-    details.append(
+    lines = [(
+        exact,
         f"analytic coin-toss row == decode row at q in (0.25, 0.5, 0.9): "
-        f"{'exact' if exact else 'MISMATCH'}"
-    )
+        f"{'exact' if exact else 'MISMATCH'}",
+    )]
 
     # each run is judged against its strategy's own row: the same row here
     spec = ProductSealSpec.shared_theta("0", math.pi / 6)
@@ -243,66 +237,61 @@ def check_coin_toss_equivalence(seed: int, trials: int) -> Verdict:
     ):
         checks = _experiment(ExperimentConfig(spec, strategy, trials, seed))
         chi = checks["chi_square"]
-        passed &= chi["pass"]
         escapes.append(checks["escape"]["analytic"])
-        details.append(
+        lines.append((
+            chi["pass"],
             f"{label}: chi-square {chi['statistic']:.4f} vs same expected row: "
-            f"{'pass' if chi['pass'] else 'FAIL'} at 99.9%"
-        )
+            f"{'pass' if chi['pass'] else 'FAIL'} at 99.9%",
+        ))
     # the equivalence is distribution-level only; the post-state
     # ensembles differ, so escape probabilities are shown side by side
     # without any equality assertion
-    details.append(
-        f"escape probabilities differ by design: family {escapes[0]:.6f}, coin {escapes[1]:.6f}"
-    )
-    return passed, tuple(details)
+    lines.append((
+        True,
+        f"escape probabilities differ by design: family {escapes[0]:.6f}, coin {escapes[1]:.6f}",
+    ))
+    return lines
 
 
-def check_zero_information() -> Verdict:
+def check_zero_information() -> Lines:
     """Mutual information endpoints: zero without reading, log2 N only if perfect."""
-    details = []
-    passed = True
-
     worst = 0.0
     for m, theta, om in seal_suite():
         worst = max(worst, mutual_information(decode_matrix(om, 0.0)))
-    passed &= worst <= EXACT_ATOL
-    details.append(f"max MI at nu=0 = {_fmt(worst)} bits over the seal suite")
 
     flat = overlap_matrix(ProductSealSpec.shared_theta("000", math.pi / 4))
     worst_flat = max(
         mutual_information(decode_matrix(flat, nu)) for nu in NU_GRID_FINE
     )
-    passed &= worst_flat <= EXACT_ATOL
-    details.append(f"max MI of theta=pi/4 seal over 11 nu = {_fmt(worst_flat)} bits")
 
     worst_perfect = 0.0
     for n in (2, 8, 16):
         mi = mutual_information(decode_matrix(OverlapMatrix.identity(n), 1.0))
         worst_perfect = max(worst_perfect, abs(mi - math.log2(n)))
-    passed &= worst_perfect <= EXACT_ATOL
-    details.append(
-        f"max |MI - log2 N| for projective read of perfect seals = {_fmt(worst_perfect)}"
-    )
-    return passed, tuple(details)
+    return [
+        (worst <= EXACT_ATOL, f"max MI at nu=0 = {_fmt(worst)} bits over the seal suite"),
+        (worst_flat <= EXACT_ATOL,
+         f"max MI of theta=pi/4 seal over 11 nu = {_fmt(worst_flat)} bits"),
+        (worst_perfect <= EXACT_ATOL,
+         f"max |MI - log2 N| for projective read of perfect seals = {_fmt(worst_perfect)}"),
+    ]
 
 
-def check_bit_seal() -> Verdict:
+def check_bit_seal() -> Lines:
     """Single-bit seal at nu = 1/2: detection probability beta stays <= 1/2."""
-    details = []
-    worst_beta = 0.0
+    lines = []
     for theta in THETA_GRID:
         alpha, beta = bit_seal_point(theta, 0.5)
-        worst_beta = max(worst_beta, beta)
-        details.append(
+        lines.append((
+            beta <= 0.5 + EXACT_ATOL,
             f"theta={theta:.6f}: alpha={alpha:.6f} beta={beta:.6f} "
-            f"alpha+beta={alpha + beta:.6f}"
-        )
-    details.append("reference bound alpha + beta <= 9/8 = 1.125 (reported, not asserted)")
-    return worst_beta <= 0.5 + EXACT_ATOL, tuple(details)
+            f"alpha+beta={alpha + beta:.6f}",
+        ))
+    lines.append((True, "reference bound alpha + beta <= 9/8 = 1.125 (reported, not asserted)"))
+    return lines
 
 
-def check_cross_construction() -> Verdict:
+def check_cross_construction() -> Lines:
     """Qubit-by-qubit sealing equals the overlap-matrix row, every message."""
     cases = [((theta,) * m, om) for m, theta, om in seal_suite()]
     # a mixed-angle spot check to cover unequal thetas
@@ -313,23 +302,24 @@ def check_cross_construction() -> Verdict:
         states = product_states(thetas, np.arange(om.dim))
         dev = float(np.max(np.abs(states - om.coefficients)))
         worst = max(worst, dev)
-    return worst <= EXACT_ATOL, (f"max amplitude deviation = {_fmt(worst)}",)
+    return [(worst <= EXACT_ATOL, f"max amplitude deviation = {_fmt(worst)}")]
 
 
 def _guarded(number: int, key: str, description: str, check, *args) -> ClaimResult:
-    """Run one check into its report entry; a crashing check is a failed claim.
+    """Run one check into its report entry; a failing line or a crash fails the claim.
 
     Resource-limit errors still propagate: hitting the dimension cap or
     running out of memory is an environment problem, not a refuted claim.
     """
     try:
-        passed, details = check(*args)
+        lines = check(*args)
     except (ResourceError, MemoryError):
         raise
     except Exception as exc:  # noqa: BLE001 - deliberate: report and continue
         description = "check raised instead of completing"
-        passed, details = False, (f"{type(exc).__name__}: {exc}",)
-    return ClaimResult(number, key, description, bool(passed), details)
+        lines = [(False, f"{type(exc).__name__}: {exc}")]
+    passed = all(ok for ok, _ in lines)
+    return ClaimResult(number, key, description, passed, tuple(text for _, text in lines))
 
 
 def run_claims(seed: int = 42, trials: int = 100_000) -> list[ClaimResult]:
