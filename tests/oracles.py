@@ -2,14 +2,16 @@
 
 These are the dense and round-by-round forms that no command runs:
 operator application with renormalization, fidelity, the tensor product
-of per-qubit states, a single attack round and a single verifier check,
-the per-column flat posterior mass and its marginal-weighted sum, the
-Holevo and square-root-measurement ceilings of a seal's ensemble by a
-dense eigendecomposition, the escape probability of the re-prepare read
-by the Gram matrix, and `replay_experiment`, which walks the
-Monte Carlo draw table one round at a time.  `sealsim.montecarlo`'s determinism contract is stated
-against `replay_experiment` and `round_block`; the tests assert that
-`run_experiment` and `draw_chunks` reproduce them exactly.
+of per-qubit states, the completeness sum of the N dense operators, a
+single attack round and a single verifier check, the per-column flat
+posterior mass and its marginal-weighted sum, the Holevo and
+square-root-measurement ceilings of a seal's ensemble by a dense
+eigendecomposition, the escape probability of the re-prepare read by
+the Gram matrix, and `replay_experiment`, which walks the Monte Carlo
+draw table one round at a time.  `sealsim.montecarlo`'s determinism
+contract is stated against `replay_experiment` and `round_block`; the
+tests assert that `run_experiment` and `draw_chunks` reproduce them
+exactly.
 
 States are plain complex amplitude rows, operators plain N x N complex
 arrays and decode matrices plain N x N probability arrays, as in the
@@ -111,6 +113,16 @@ def family_apply(
     raw = family.a * state
     raw[index] += family.b * state[index]
     return _renormalize(raw)
+
+
+def dense_completeness_deviation(family: MeasurementFamily) -> float:
+    """Max-entry deviation from the identity of sum_i Q_i^dag Q_i, summed densely."""
+    n = family.dim
+    total = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        q = family.operator(i)
+        total += q.conj().T @ q
+    return float(np.max(np.abs(total - np.eye(n))))
 
 
 @dataclass(frozen=True, eq=False)

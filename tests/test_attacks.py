@@ -3,12 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from oracles import apply_and_normalize, coin_toss_attack, family_apply, fidelity, run_attack
+from oracles import (
+    apply_and_normalize,
+    coin_toss_attack,
+    dense_completeness_deviation,
+    family_apply,
+    fidelity,
+    run_attack,
+)
 from sealsim.attacks import (
     MeasurementFamily,
     coin_toss_escape_probability,
     coin_toss_probabilities,
 )
+from sealsim.claims import NU_GRID_COARSE
 from sealsim.errors import ResourceError, UsageError, ValidationError, unit_norm_weights
 from sealsim.seals import OverlapMatrix, ProductSealSpec, product_seal
 
@@ -69,16 +77,13 @@ class TestMeasurementFamily:
     def test_completeness(self, n, nu):
         assert MeasurementFamily.from_nu(n, nu).completeness_deviation() <= ATOL
 
-    def test_completeness_paths_agree(self):
-        # the dense path (n <= 128) must match a manual structured
-        # accumulation of a^2 I + (2ab + b^2)|i><i|; they differ only by
-        # the rounding order of the n-term sum
-        for n in (2, 16, 64):
-            family = MeasurementFamily.from_nu(n, 0.3)
-            a, b = family.a, family.b
-            diag = np.full(n, n * a * a) + (2 * a * b + b * b)
-            manual = float(np.max(np.abs(diag - 1.0)))
-            assert abs(family.completeness_deviation() - manual) <= 1e-13
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 128])
+    @pytest.mark.parametrize("nu", NU_GRID_COARSE)
+    def test_completeness_paths_agree(self, n, nu):
+        # the closed form must match the dense sum of the n expansions;
+        # they differ only by the rounding order of the n-term sum
+        family = MeasurementFamily.from_nu(n, nu)
+        assert abs(family.completeness_deviation() - dense_completeness_deviation(family)) <= 1e-13
 
     def test_structured_apply_matches_dense(self):
         for n in (2, 4, 16):
