@@ -190,6 +190,32 @@ def test_a_crashing_check_is_a_failed_claim(monkeypatch, capsys):
     assert len(after) == 10
 
 
+def test_a_failing_line_fails_its_claim(monkeypatch):
+    returned = {}
+    names = [
+        name for name, obj in vars(claims).items()
+        if name.startswith("check_") and getattr(obj, "__module__", None) == claims.__name__
+    ]
+    for name in names:
+        def recording(*args, real=getattr(claims, name), name=name):
+            returned[name] = real(*args)
+            return returned[name]
+
+        monkeypatch.setattr(claims, name, recording)
+    claims.run_claims(seed=SEED, trials=1000)
+    assert sorted(returned) == sorted(names) and len(names) == 10
+    for name, lines in returned.items():
+        assert type(lines) is list and lines, name
+        for line in lines:
+            assert type(line) is tuple and len(line) == 2 and isinstance(line[1], str), (name, line)
+
+    monkeypatch.setattr(claims, "check_bit_seal", lambda: [(True, "a"), (False, "b")])
+    result = claims.run_claims(seed=SEED, trials=1000)[8]
+    assert (result.key, result.passed, result.details) == (
+        "bit-seal-consistency", False, ("a", "b")
+    )
+
+
 def test_each_report_looks_up_its_checks(monkeypatch):
     # a check replaced on the module after import is the one a report runs
     calls = []
