@@ -4,7 +4,8 @@ These are the dense and round-by-round forms that no command runs:
 operator application with renormalization, fidelity, the tensor product
 of per-qubit states, the completeness sum of the N dense operators, a
 single attack round and a single verifier check, the per-column flat
-posterior mass and its marginal-weighted sum, the Holevo and
+posterior mass and its marginal-weighted sum, a sweep point's guess and
+escape probabilities in 40-digit decimal arithmetic, the Holevo and
 square-root-measurement ceilings of a seal's ensemble by a dense
 eigendecomposition, the escape probability of the re-prepare read by
 the Gram matrix, and `replay_experiment`, which walks the Monte Carlo
@@ -25,6 +26,7 @@ outcomes or rounds is the point of an oracle, not a cost to remove.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from functools import reduce
 from typing import Sequence
 
@@ -208,6 +210,29 @@ def expected_flat_mass(probs: np.ndarray, nu: float) -> float:
     column_sums = np.ascontiguousarray(probs.T).sum(axis=1)
     terms = marginals[live] * ((1.0 - nu) / column_sums[live])
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
+def exact_sweep_point(weights: np.ndarray, nu: float) -> tuple[Decimal, Decimal]:
+    """(guess_prob, escape_prob) of a sweep point, to 40 significant digits.
+
+    Each float weight and nu is read as the exact binary value it holds,
+    so the result is the true value for the matrix the package built:
+    guess = (1/N) sum_i ((1-nu)/N + nu W_ii), and escape = (1/N) sum_i'
+    min(1, sum_i (a + b W_i'i)^2) with a = sqrt((1-nu)/N) and
+    a + b = sqrt((1-nu)/N + nu).
+    """
+    with localcontext() as context:
+        context.prec = 40
+        n = len(weights)
+        rows = [[Decimal(w) for w in row] for row in weights.tolist()]
+        nu = Decimal(nu)
+        flat = (1 - nu) / n
+        guess = sum((flat + nu * rows[i][i] for i in range(n)), Decimal(0)) / n
+        a = flat.sqrt()
+        b = (flat + nu).sqrt() - a
+        fidelities = (sum(((a + b * w) ** 2 for w in row), Decimal(0)) for row in rows)
+        escape = sum((min(f, Decimal(1)) for f in fidelities), Decimal(0)) / n
+    return guess, escape
 
 
 def ensemble_ceilings(coefficients: np.ndarray) -> tuple[float, float]:

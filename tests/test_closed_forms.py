@@ -32,6 +32,7 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import (
     ensemble_ceilings,
+    exact_sweep_point,
     expected_flat_mass,
     family_apply,
     fidelity,
@@ -169,6 +170,26 @@ class TestExactFlatMass:
         assert [p.nu for p in points] == EXACT_NU_GRID
         for point in points:
             assert point.flat_mass == one_minus_exact(point.nu), point.nu
+
+
+SWEEP_ORACLE_GRID = sorted({1e-8, 1e-6, 1e-3, *NU_GRID})
+
+
+def ulps_from(value: float, exact: Decimal) -> Decimal:
+    """|value - exact| in units in the last place of the double nearest exact."""
+    return abs(Decimal(value) - exact) / Decimal(math.ulp(float(exact)))
+
+
+class TestExactSweepColumns:
+    # mutual_information loses about eps * log2 N to cancellation, so mi_bits
+    # is left out here; the worst guess and escape errors are 2.6 and 2.1 ulp
+    @pytest.mark.parametrize("name", ("random16", "golden-random64", "sparse16", "m6-mixed"))
+    def test_guess_and_escape_are_within_4_ulp_of_the_decimal_oracle(self, name):
+        om = FLAT_MASS_SEALS[name]
+        for point in tradeoff_sweep(om, SWEEP_ORACLE_GRID):
+            guess, escape = exact_sweep_point(om.weights, point.nu)
+            assert ulps_from(point.guess_probability, guess) <= 4, point
+            assert ulps_from(point.escape_probability, escape) <= 4, point
 
 
 def binary_entropy_bits(p: float) -> float:
