@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import decode_matrix, tradeoff_sweep
 from .claims import format_report, run_claims
-from .errors import ResourceError, UsageError, ValidationError
+from .errors import ResourceError, UsageError, ValidationError, check_unit_interval
 from .montecarlo import (
     CoinTossStrategy,
     ExperimentConfig,
@@ -100,6 +100,8 @@ def _parse_grid(text: str) -> list[float]:
             raise UsageError(f"could not parse grid {text!r}") from exc
         if not 2 <= count <= MAX_GRID_POINTS:
             raise UsageError(f"grid count must be between 2 and {MAX_GRID_POINTS}")
+        # checked as given: linspace would turn an infinite endpoint into nan
+        start, stop = (check_unit_interval("grid value", v) for v in (start, stop))
         return [float(v) for v in np.linspace(start, stop, count)]
     try:
         return [float(v) for v in text.split(",")]

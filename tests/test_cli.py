@@ -373,6 +373,12 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err == "error: grid count must be between 2 and 100001\n"
 
+    @pytest.mark.parametrize("grid", ["0:inf:3", "inf:1:3"])
+    def test_grid_endpoint_out_of_range_is_named(self, capsys, grid):
+        code, out, err = run_cli(capsys, "sweep", "--bits", "0", "--theta", "0", "--grid", grid)
+        assert (code, out) == (2, "")
+        assert err == "error: grid value must lie in [0, 1], got inf\n"
+
     def test_grid_count_at_the_bound(self):
         grid = _parse_grid("0:1:100001")
         assert len(grid) == 100_001
