@@ -207,7 +207,8 @@ def test_a_failing_line_fails_its_claim(monkeypatch):
     for name, lines in returned.items():
         assert type(lines) is list and lines, name
         for line in lines:
-            assert type(line) is tuple and len(line) == 2 and isinstance(line[1], str), (name, line)
+            assert type(line) is tuple and len(line) == 2, (name, line)
+            assert isinstance(line[1], str), (name, line)
 
     monkeypatch.setattr(claims, "check_bit_seal", lambda: [(True, "a"), (False, "b")])
     result = claims.run_claims(seed=SEED, trials=1000)[8]

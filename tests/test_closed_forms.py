@@ -13,7 +13,8 @@ table.  `family_apply`, `fidelity`, `flat_posterior_mass`,
 with the other reference paths the package no longer ships; the loops
 used only here are defined below.  Where the array form promises the
 same additions (or products) in the same order, equality is asserted
-with `==`.
+with `==`.  The sweep's guess and escape columns are held instead to
+within 4 ulp of `exact_sweep_point`, a 40-digit decimal oracle.
 
 The property tests are derandomized with a bounded example count, so
 every run checks the same cases.
