@@ -294,8 +294,9 @@ def chi_square_check(stats: EmpiricalStats, expected) -> tuple[float, bool]:
     chi-square distribution with K-1 degrees of freedom, K being the
     number of cells with positive expected probability: exactly when its
     upper tail Q(df/2, statistic/2) exceeds 1 - CHI_SQUARE_LEVEL.  A
-    nonzero count in a zero-probability cell fails outright; a single
-    live cell, or a statistic of 0, passes without a tail probability.
+    nonzero count in a zero-probability cell fails outright; a statistic
+    below df + 2, where Q is at least 0.0833 (its least value, at df = 1),
+    passes without a tail probability, as does a single live cell.
     """
     expected = np.asarray(expected, dtype=float)
     if expected.shape != stats.decode_counts.shape:
@@ -313,7 +314,7 @@ def chi_square_check(stats: EmpiricalStats, expected) -> tuple[float, bool]:
     expected_counts = expected[live] * stats.trials
     statistic = float(np.sum((counts[live] - expected_counts) ** 2 / expected_counts))
     df = expected_counts.size - 1
-    if df == 0 or statistic == 0.0:
+    if statistic < df + 2:
         return statistic, True
     if statistic == math.inf:  # overflowed: Q(a, inf) = 0, which _upper_gamma cannot reach
         return statistic, False
@@ -337,20 +338,11 @@ _TINY = 1e-300  # keeps the Lentz denominators away from zero
 
 
 def _upper_gamma(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) for a > 0, x > 0.
+    """Regularized upper incomplete gamma Q(a, x) for a > 0, x >= a + 1.
 
-    Power series for P = 1 - Q when x < a + 1, else the continued
-    fraction for Q by the modified Lentz method.
+    The continued fraction for Q by the modified Lentz method.
     """
     prefactor = math.exp(a * math.log(x) - x - math.lgamma(a))
-    if x < a + 1.0:
-        term = total = 1.0 / a
-        ap = a
-        while abs(term) > abs(total) * _EPS:
-            ap += 1.0
-            term *= x / ap
-            total += term
-        return 1.0 - total * prefactor
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b
