@@ -9,6 +9,7 @@ compares the report bytes.  Each test prints its own PASS/FAIL line
 import json
 import subprocess
 import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -241,6 +242,21 @@ def test_claim_7_reads_the_built_suite(monkeypatch):
 
     monkeypatch.setattr(claims, "overlap_matrix", no_build)
     assert all(ok for ok, _ in claims.check_coin_toss_equivalence(SEED, 1000))
+
+
+def test_claim_7_exact_line_covers_the_seals_up_to_n_16(monkeypatch):
+    # 4 thetas x 3 q at each N in {2, 4, 8, 16}; the coin run's own row goes
+    # through montecarlo's name and is not counted here
+    dims = []
+    real = claims.coin_toss_probabilities
+
+    def record(weights, q):
+        dims.append(weights.shape[-1])
+        return real(weights, q)
+
+    monkeypatch.setattr(claims, "coin_toss_probabilities", record)
+    assert all(ok for ok, _ in claims.check_coin_toss_equivalence(SEED, 1000))
+    assert Counter(dims) == {2: 12, 4: 12, 8: 12, 16: 12}
 
 
 def test_claim_10_reads_the_built_suite(monkeypatch):

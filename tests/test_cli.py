@@ -964,8 +964,9 @@ class TestResourceLimit:
             ((DATA / "random16.json").read_text(encoding="utf-8"), "8"),
             # the rows are malformed too (exit 2 on their own), but the cap comes first
             ('{"dim": 5000, "rows": []}', None),
+            ('{"dim": 4097, "rows": []}', None),
         ],
-        ids=["random16-cap-8", "dim-5000-default-cap"],
+        ids=["random16-cap-8", "dim-5000-default-cap", "dim-4097-default-cap"],
     )
     def test_lambda_file_above_the_cap_exits_3(self, capsys, tmp_path, monkeypatch, text, cap):
         if cap is None:
@@ -978,6 +979,24 @@ class TestResourceLimit:
         assert code == 3
         assert "resource error" in err
         assert out == ""
+
+    def test_a_lambda_file_at_the_default_cap_passes_it(self, capsys, tmp_path, monkeypatch):
+        # dim 4096 is within the cap, so the rows are what is refused
+        monkeypatch.delenv("SEALSIM_MAX_DIM", raising=False)
+        path = tmp_path / "seal.json"
+        path.write_text('{"dim": 4096, "rows": []}', encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--lambda-file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "resource" not in err
+
+    def test_the_least_cap_of_2_is_accepted(self, capsys, monkeypatch):
+        # a one-bit seal fits a cap of 2 and prints what it prints uncapped
+        argv = ("sweep", "--bits", "0", "--theta", "0.3")
+        monkeypatch.delenv("SEALSIM_MAX_DIM", raising=False)
+        uncapped = run_cli(capsys, *argv)
+        monkeypatch.setenv("SEALSIM_MAX_DIM", "2")
+        assert run_cli(capsys, *argv) == uncapped
+        assert uncapped[0] == 0
 
     @pytest.mark.parametrize("cap", ["8", "1023"])
     def test_claims_under_resource_limit_exits_3(self, capsys, monkeypatch, cap):

@@ -44,6 +44,7 @@ from oracles import (
 from sealsim.analysis import (
     TradeoffPoint,
     average_fidelity,
+    bit_seal_point,
     decode_matrix,
     decode_probabilities,
     escape_probability,
@@ -454,6 +455,54 @@ class TestProperties:
     def test_coin_toss_and_family_decode_rows_are_equal(self, row, q):
         weights = unit_norm_weights(row, "row")
         assert np.array_equal(coin_toss_probabilities(weights, q), decode_probabilities(weights, q))
+
+
+def escape_floor_at_half(n: int) -> float:
+    """1/2 + 2ab + b^2/N, the least escape at nu = 1/2 of any unit row of length N.
+
+    A row's escape is N a^2 + 2ab + b^2 sum w^2 with sum w = 1; N a^2 = 1/2
+    at nu = 1/2, and sum w^2 >= 1/N with equality for a flat row.
+    """
+    family = MeasurementFamily.from_nu(n, 0.5)
+    return 0.5 + 2.0 * family.a * family.b + family.b**2 / n
+
+
+# beta of the one-bit seal at nu = 1/2 is 1 minus the escape floor at N = 2,
+# attained by the flat seal theta = pi/4
+BIT_SEAL_BETA_CEILING = (2.0 - math.sqrt(3.0)) / 4.0
+
+
+class TestClaimsOverTheirWholeDomain:
+    """The closed-form extremes behind claims 4, 5 and 9, over every seal and angle."""
+
+    @fixed
+    @given(unit_rows(max_n=64))
+    def test_every_row_escapes_at_half_with_at_least_the_flat_row_value(self, row):
+        escape = average_fidelity(unit_norm_weights(row, "row"), 0.5)
+        assert escape >= escape_floor_at_half(row.size) - 1e-15
+
+    @fixed
+    @given(angles)
+    def test_the_bit_seal_beta_at_half_is_at_most_its_value_at_pi_over_4(self, theta):
+        _, beta = bit_seal_point(theta, 0.5)
+        assert beta <= BIT_SEAL_BETA_CEILING + 1e-16
+
+    def test_claim_5_suite_minimum_is_the_floor_at_n_64(self):
+        worst = min(escape_probability(om, 0.5) for _, _, om in seal_suite())
+        assert worst == escape_floor_at_half(64) == 0.6164360932965841
+
+    def test_claim_9_worst_beta_is_the_ceiling_at_pi_over_4(self):
+        _, beta = bit_seal_point(math.pi / 4, 0.5)
+        assert beta == 0.0669872981077807
+        assert abs(beta - BIT_SEAL_BETA_CEILING) <= 1e-16
+
+    def test_claim_4_flat_share_is_one_half_only_where_a_column_sums_to_1(self):
+        # the share of decoded value j is (1-nu) / ((1-nu) + nu sum_i W_ij)
+        om = MATRICES["random16"]
+        masses = flat_posterior_masses(decode_matrix(om, 0.5), 0.5)
+        column_sums = om.weights.sum(axis=0)
+        assert np.max(np.abs(masses - 0.5 / (0.5 + 0.5 * column_sums))) <= 1e-15
+        assert (round(masses.min(), 3), round(masses.max(), 3)) == (0.449, 0.628)
 
 
 @st.composite

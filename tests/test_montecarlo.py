@@ -399,6 +399,34 @@ class TestChiSquare:
                     wrong.append((df, factor))
         assert wrong == []
 
+    def test_the_tail_below_df_plus_2_is_far_above_the_threshold(self):
+        # why a statistic below df + 2 needs no tail probability: there Q
+        # is least at df = 1, where chi2.sf(3, 1) = 0.0833 > 0.001
+        from scipy.stats import chi2
+
+        dfs = np.array(list(range(1, DEFAULT_MAX_DIM)) + [8191, 65535])
+        tails = chi2.sf(dfs + 2, dfs)
+        assert np.all(tails > 0.083) and 0.083 > 1.0 - CHI_SQUARE_LEVEL
+        assert dfs[np.argmin(tails)] == 1
+
+    @pytest.mark.parametrize("df", [1, 3, 15, 255, 4095])
+    def test_a_statistic_below_df_plus_2_passes_without_a_tail_probability(self, monkeypatch, df):
+        def no_tail(a, x):
+            raise AssertionError(f"tail probability computed at a={a}, x={x}")
+
+        monkeypatch.setattr(mc, "_upper_gamma", no_tail)
+        # flat counts K per cell against cells 0 and 1 expected at
+        # (1 +- delta)/N give chi-square 2 K delta^2 / (1 - delta^2)
+        per_cell, n = 10**6, df + 1
+        counts = np.full(n, per_cell, dtype=np.int64)
+        stats = EmpiricalStats(decode_counts=counts, pass_count=0, trials=n * per_cell)
+        for target in (df + 0.5, df + 1.5, df + 1.999):
+            delta = math.sqrt(target / (2 * per_cell + target))
+            expected = np.full(n, 1.0 / n)
+            expected[0], expected[1] = (1 + delta) / n, (1 - delta) / n
+            statistic, ok = chi_square_check(stats, expected)
+            assert statistic == pytest.approx(target, rel=1e-12) and ok
+
     def test_seeded_run_passes_at_999_level(self):
         config = ExperimentConfig(seal=PI6_SPEC, strategy=FamilyStrategy(0.5), trials=100_000, seed=4242)
         stats = run_experiment(config)
