@@ -81,6 +81,16 @@ class TestDecodeMatrix:
         with pytest.raises(ValidationError):
             weights_of([math.nan, 1.0])
 
+    def test_a_row_that_is_not_unit_norm_is_named_with_its_sum(self):
+        with pytest.raises(ValidationError) as one:
+            weights_of([1.0, 0.5])
+        assert str(one.value) == "amplitude row is not unit-norm: sum |c|^2 = 1.25"
+        rows = np.eye(3, dtype=complex)
+        rows[1, 0] = 0.5
+        with pytest.raises(ValidationError) as stack:
+            weights_of(rows)
+        assert str(stack.value) == "amplitude row rows [1] are not unit-norm (sum |c|^2 = [1.25])"
+
     def test_decode_probabilities_refuses_amplitude_rows(self):
         amplitudes = pi6_matrix().coefficients
         with pytest.raises(UsageError):

@@ -315,6 +315,12 @@ class TestChiSquare:
         with pytest.raises(UsageError):
             chi_square_check(stats, [0.5, 0.4])
 
+    def test_expected_may_be_off_by_1e_9(self):
+        stats = EmpiricalStats(decode_counts=[500, 500], pass_count=0, trials=1000)
+        assert chi_square_check(stats, [0.5, 0.5 + 0.5e-9])[1]
+        with pytest.raises(UsageError):
+            chi_square_check(stats, [0.5, 0.5 + 1.5e-9])
+
     def test_shape_mismatch(self):
         stats = EmpiricalStats(decode_counts=[500, 500], pass_count=0, trials=1000)
         with pytest.raises(UsageError):
@@ -457,6 +463,18 @@ class TestEscapeBand:
     def test_rate_just_outside_the_band(self):
         rate, three_sigma, ok = escape_band_check(self.stats(5151, 10_000), 0.5)
         assert (rate, three_sigma, ok) == (0.5151, pytest.approx(0.015, rel=1e-12), False)
+
+    def test_rate_exactly_3_sigma_away_is_inside_the_band(self):
+        # escape 1/2 at 2**16 trials: 3 sigma = 1.5 / 256, and every value is exact
+        assert escape_band_check(self.stats(2**15 + 384, 2**16), 0.5) == (
+            0.505859375, 0.005859375, True
+        )
+
+    def test_the_floor_absorbs_representation_noise_only(self):
+        # at 1e12 trials 3 sigma is 1.2e-10, below the 1e-9 floor; a gap of
+        # 1.5e-9 is outside the floor, one of 0.5e-9 inside
+        assert escape_band_check(self.stats(10**12, 10**12), 1.0 - 0.5e-9)[2]
+        assert not escape_band_check(self.stats(10**12, 10**12), 1.0 - 1.5e-9)[2]
 
 
 class TestStatsRecord:

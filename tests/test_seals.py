@@ -57,6 +57,14 @@ class TestOverlapMatrix:
         with pytest.raises(ValidationError):
             OverlapMatrix(np.eye(2)[:1])
 
+    def test_a_row_norm_may_be_off_by_1e_12(self):
+        rows = np.eye(2)
+        rows[0, 0] = math.sqrt(1.0 + 0.5e-12)
+        OverlapMatrix(rows)
+        rows[0, 0] = math.sqrt(1.0 + 1.5e-12)
+        with pytest.raises(ValidationError):
+            OverlapMatrix(rows)
+
     def test_identity(self):
         om = OverlapMatrix.identity(4)
         assert om.dim == 4
