@@ -294,9 +294,8 @@ def chi_square_check(stats: EmpiricalStats, expected) -> tuple[float, bool]:
     chi-square distribution with K-1 degrees of freedom, K being the
     number of cells with positive expected probability: exactly when its
     upper tail Q(df/2, statistic/2) exceeds 1 - CHI_SQUARE_LEVEL.  A
-    nonzero count in a zero-probability cell fails outright; a statistic
-    below df + 2, where Q is at least 0.0833 (its least value, at df = 1),
-    passes without a tail probability, as does a single live cell.
+    nonzero count in a zero-probability cell fails outright.  Below
+    df + 2, where Q >= 0.0833, a statistic passes without a tail probability.
     """
     expected = np.asarray(expected, dtype=float)
     if expected.shape != stats.decode_counts.shape:
@@ -306,6 +305,8 @@ def chi_square_check(stats: EmpiricalStats, expected) -> tuple[float, bool]:
         )
     if not abs(float(expected.sum()) - 1.0) <= 1e-9:
         raise UsageError(f"expected probabilities sum to {expected.sum()}, not 1")
+    if np.any(expected < 0.0):
+        raise UsageError("expected probabilities must not be negative")
 
     counts = stats.decode_counts.astype(float)
     live = expected > 0.0

@@ -321,6 +321,12 @@ class TestChiSquare:
         with pytest.raises(UsageError):
             chi_square_check(stats, [0.5, 0.5 + 1.5e-9])
 
+    def test_negative_expected_probability_is_rejected(self):
+        # a single positive cell would leave df = 0 with a statistic of 100/6
+        stats = EmpiricalStats(decode_counts=[100, 0], pass_count=0, trials=100)
+        with pytest.raises(UsageError, match="negative"):
+            chi_square_check(stats, [1.5, -0.5])
+
     def test_shape_mismatch(self):
         stats = EmpiricalStats(decode_counts=[500, 500], pass_count=0, trials=1000)
         with pytest.raises(UsageError):
@@ -359,6 +365,12 @@ class TestChiSquare:
         monkeypatch.setattr(mc, "_upper_gamma", no_tail)
         stats = EmpiricalStats(decode_counts=[500, 500], pass_count=0, trials=1000)
         assert chi_square_check(stats, [0.5, 0.5]) == (0.0, True)
+
+    def test_a_tail_exactly_at_the_threshold_fails(self, monkeypatch):
+        # a histogram passes only when its tail exceeds 1 - CHI_SQUARE_LEVEL
+        monkeypatch.setattr(mc, "_upper_gamma", lambda a, x: 1.0 - CHI_SQUARE_LEVEL)
+        stats = EmpiricalStats(decode_counts=[600, 400], pass_count=0, trials=1000)
+        assert chi_square_check(stats, [0.5, 0.5]) == (40.0, False)
 
     def test_overflowed_statistic_fails(self):
         # a count in a cell of subnormal probability overflows the statistic
