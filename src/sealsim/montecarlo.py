@@ -294,8 +294,8 @@ def chi_square_check(stats: EmpiricalStats, expected) -> tuple[float, bool]:
     chi-square distribution with K-1 degrees of freedom, K being the
     number of cells with positive expected probability: exactly when its
     upper tail Q(df/2, statistic/2) exceeds 1 - CHI_SQUARE_LEVEL.  A
-    nonzero count in a zero-probability cell fails outright.  Below
-    df + 2, where Q >= 0.0833, a statistic passes without a tail probability.
+    nonzero count in a zero-probability cell fails outright; one live cell,
+    or a statistic below df + 2 (where Q >= 0.0833), passes without a tail.
     """
     expected = np.asarray(expected, dtype=float)
     if expected.shape != stats.decode_counts.shape:
@@ -315,7 +315,7 @@ def chi_square_check(stats: EmpiricalStats, expected) -> tuple[float, bool]:
     expected_counts = expected[live] * stats.trials
     statistic = float(np.sum((counts[live] - expected_counts) ** 2 / expected_counts))
     df = expected_counts.size - 1
-    if statistic < df + 2:
+    if df == 0 or statistic < df + 2:
         return statistic, True
     if statistic == math.inf:  # overflowed: Q(a, inf) = 0, which _upper_gamma cannot reach
         return statistic, False

@@ -357,6 +357,14 @@ class TestChiSquare:
         statistic, ok = chi_square_check(stats, [0.0, 1.0, 0.0])
         assert statistic == 0.0 and ok
 
+    def test_a_single_live_cell_passes_at_any_trial_count(self):
+        # 1 - 9e-10 is within the sum tolerance; at 9e18 trials its rounding
+        # alone gives a statistic of 7.3, and df = 0 has no tail to compute
+        trials = 9 * 10**18
+        stats = EmpiricalStats(decode_counts=[trials], pass_count=0, trials=trials)
+        statistic, ok = chi_square_check(stats, [1.0 - 9e-10])
+        assert statistic > 2.0 and ok
+
     def test_zero_statistic_passes_without_a_tail_probability(self, monkeypatch):
         # Q(a, x) takes log(x), so x = 0 must not reach it
         def no_tail(a, x):
