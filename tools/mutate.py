@@ -8,11 +8,11 @@ A mutant changes one token in one module under src/sealsim:
 - a number: an int to one more and to one less, a float to twice itself
   (0.0 to 1.0).
 
-Mutants run on a copy of the checkout in a temporary
-directory; the checkout itself is never written.  The unmutated suite
-runs there first and must pass; then `python -m pytest -x -q` runs once
-per mutant.  A mutant is killed when the tests fail or time out (three
-times the unmutated run, plus 10 s), survives when they pass, and is equivalent
+Mutants run on a copy of the checkout in a temporary directory; the
+checkout itself is never written.  The unmutated suite runs there first
+and must pass; then `python -m pytest -x -q` runs once per mutant.  A
+mutant is killed when the tests fail or time out (three times the
+unmutated run, plus 10 s), survives when they pass, and is equivalent
 when EQUIVALENT lists it; equivalent mutants are not run.
 
     python tools/mutate.py --list                      # every site; runs no tests
@@ -44,27 +44,38 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sealsim"
 
-# this tool's own test reads the module sources, so a mutant of any line
-# that an entry below names would fail it without the tests having seen it
+# tests/test_mutate.py enumerates the mutants from the sources, so it fails
+# on any mutant of a line that EQUIVALENT names, whatever that mutant does
 IGNORED_TESTS = ("tests/test_mutate.py",)
 
-COMPARISONS = {ast.Lt: "<=", ast.LtE: "<", ast.Gt: ">=", ast.GtE: ">", ast.Eq: "!=", ast.NotEq: "=="}
-ARITHMETIC = {ast.Add: "-", ast.Sub: "+", ast.Mult: "/", ast.Div: "*", ast.FloorDiv: "*",
-              ast.Mod: "//", ast.Pow: "*"}
-SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
-           ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.FloorDiv: "//",
-           ast.Mod: "%", ast.Pow: "**"}
+# each operator's symbol, and the symbol of its mutant
+COMPARISONS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
+               ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
+ARITHMETIC = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"), ast.Div: ("/", "*"),
+              ast.FloorDiv: ("//", "*"), ast.Mod: ("%", "//"), ast.Pow: ("**", "*")}
 
 # (module, text on the mutated line, old token, new token, why no test can kill it)
 EQUIVALENT = (
     ("errors.py", "total.reshape(-1)[rows]", "1", "2",
-     "numpy reads reshape(-2) of a one-axis result as reshape(-1)"),
+     "numpy 2.4 reads reshape(-2) as reshape(-1); an older numpy may refuse it"),
     ("errors.py", "bad = ~(np.abs(total - 1.0) <= NORM_ATOL)", "<=", "<",
      "a sum near 1 is off 1 by a multiple of 2**-53, which 1e-12 is not: never equal"),
     ("montecarlo.py", "if not abs(float(expected.sum()) - 1.0) <= 1e-9:", "<=", "<",
      "a sum near 1 is off 1 by a multiple of 2**-53, which 1e-9 is not: never equal"),
+    ("montecarlo.py", "or statistic < df + 2:", "<", "<=",
+     "at df + 2 the chi-square tail is at least 0.0833, so the tail test passes it too"),
+    ("montecarlo.py", "or statistic < df + 2:", "2", "3",
+     "below df + 3 the chi-square tail is at least 0.0455, so the tail test passes it too"),
     ("montecarlo.py", "_TINY = 1e-300", "1e-300", "2e-300",
      "the Lentz floor is never reached on x >= a + 1, so its size does not matter"),
+    ("montecarlo.py", "d = _TINY if abs(d) < _TINY else d", "<", "<=",
+     "the Lentz floor is never reached on x >= a + 1: |d| stays above 3"),
+    ("montecarlo.py", "c = _TINY if abs(c) < _TINY else c", "<", "<=",
+     "the Lentz floor is never reached on x >= a + 1: |c| stays above 3"),
+    ("montecarlo.py", "if abs(delta - 1.0) <= _EPS:", "<=", "<",
+     "waiting for delta == 1 exactly moves Q by under 1e-15 relative; no verdict is that close"),
+    ("montecarlo.py", "c = 1.0 / _TINY", "1.0", "2.0",
+     "any huge start makes the first c exactly b: an / c is far below an ulp of b"),
     ("claims.py", 'worst <= EXACT_ATOL, f"max |fidelity - sum |c|^4|', "<=", "<",
      "claim 6's deviation is a rounding error near 1e-16, never exactly 1e-12"),
     ("claims.py", "ok = abs(value - 1.0 / n) <= EXACT_ATOL", "<=", "<",
@@ -151,21 +162,20 @@ class _Sites(ast.NodeVisitor):
     def visit_Compare(self, node: ast.Compare) -> None:
         for left, op, right in zip([node.left, *node.comparators], node.ops, node.comparators):
             if type(op) in COMPARISONS:
-                symbol = SYMBOLS[type(op)]
-                self._add(self._operator(left, right, symbol), symbol, COMPARISONS[type(op)])
+                symbol, mutated = COMPARISONS[type(op)]
+                self._add(self._operator(left, right, symbol), symbol, mutated)
         self.generic_visit(node)
 
     def visit_BinOp(self, node: ast.BinOp) -> None:
         if type(node.op) in ARITHMETIC:
-            symbol = SYMBOLS[type(node.op)]
-            self._add(self._operator(node.left, node.right, symbol), symbol, ARITHMETIC[type(node.op)])
+            symbol, mutated = ARITHMETIC[type(node.op)]
+            self._add(self._operator(node.left, node.right, symbol), symbol, mutated)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         if type(node.op) in ARITHMETIC:
-            symbol = SYMBOLS[type(node.op)] + "="
-            self._add(self._operator(node.target, node.value, symbol), symbol,
-                      ARITHMETIC[type(node.op)] + "=")
+            symbol, mutated = ARITHMETIC[type(node.op)]
+            self._add(self._operator(node.target, node.value, symbol + "="), symbol + "=", mutated + "=")
         self.generic_visit(node)
 
     def visit_Constant(self, node: ast.Constant) -> None:
