@@ -11,8 +11,6 @@ import sys
 from functools import cache
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "sealsim").glob("*.py"))
 
@@ -39,9 +37,9 @@ def test_enumeration_is_deterministic():
     ]
 
 
-@pytest.mark.parametrize("entry", mutate.EQUIVALENT, ids=lambda entry: f"{entry[0]}:{entry[2]}->{entry[3]}")
-def test_each_equivalent_mutant_is_found_once(entry):
-    assert len([mutant for mutant in every_mutant() if mutate.matches(entry, mutant)]) == 1
+def test_each_equivalent_mutant_is_found_once():
+    counts = [sum(mutate.matches(entry, mutant) for mutant in every_mutant()) for entry in mutate.EQUIVALENT]
+    assert [entry for entry, count in zip(mutate.EQUIVALENT, counts) if count != 1] == []
 
 
 def test_each_mutant_changes_one_token_and_parses():
