@@ -224,24 +224,21 @@ def changed_lines(revision: str, path: Path) -> set[int]:
     return changed
 
 
-def run_tests(tree: Path, timeout: float | None) -> str:
-    """'passed', 'failed' or 'timeout' for one pytest run in tree."""
+def run_tests(tree: Path, timeout: float | None) -> int | None:
+    """The exit status of one pytest run in tree, or None if it timed out."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     ignored = [f"--ignore={tree / test}" for test in IGNORED_TESTS]
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *ignored]
     process = subprocess.Popen(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                                stderr=subprocess.DEVNULL, start_new_session=True)
     try:
-        code = process.wait(timeout=timeout)
+        return process.wait(timeout=timeout)
     except subprocess.TimeoutExpired:
-        os.killpg(process.pid, signal.SIGKILL)
-        process.wait()
-        return "timeout"
+        return None
     finally:
-        if process.poll() is None:  # interrupted: take the run's children with it
+        if process.poll() is None:  # timed out or interrupted: take the run's children with it
             os.killpg(process.pid, signal.SIGKILL)
             process.wait()
-    return "passed" if code == 0 else "failed"
 
 
 def run(found: list[Mutant]) -> int:
@@ -251,7 +248,7 @@ def run(found: list[Mutant]) -> int:
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", "_work", "*.egg-info", "build"))
         started = time.monotonic()
-        if run_tests(tree, None) != "passed":
+        if run_tests(tree, None) != 0:
             print("the unmutated tests fail; no mutant was run", file=sys.stderr)
             return 2
         elapsed = time.monotonic() - started
@@ -266,10 +263,10 @@ def run(found: list[Mutant]) -> int:
                 compile(mutated, str(target), "exec")  # a mutant that does not compile is a bug here
                 target.write_text(mutated, encoding="utf-8")
                 try:
-                    result = run_tests(tree, timeout)
+                    code = run_tests(tree, timeout)
                 finally:
                     target.write_text(source, encoding="utf-8")
-                outcome = {"failed": "killed", "timeout": "timeout", "passed": "survived"}[result]
+                outcome = "timeout" if code is None else "survived" if code == 0 else "killed"
             else:
                 outcome = "equivalent"
             outcomes[outcome] += 1
@@ -297,6 +294,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.list:
         for mutant in found:
             print(mutant)
+        return 0
+    if not found:
+        print("0 mutants")
         return 0
     return run(found)
 
