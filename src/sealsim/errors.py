@@ -67,10 +67,9 @@ def unit_norm_weights(amplitudes: np.ndarray, what: str) -> np.ndarray:
     if np.any(bad):
         if total.ndim == 0:
             raise ValidationError(f"{what} is not unit-norm: sum |c|^2 = {float(total)!r}")
-        rows = np.flatnonzero(bad)
         raise ValidationError(
-            f"{what} rows {rows.tolist()} are not unit-norm "
-            f"(sum |c|^2 = {total.reshape(-1)[rows].tolist()})"
+            f"{what} rows {np.flatnonzero(bad).tolist()} are not unit-norm "
+            f"(sum |c|^2 = {total[bad].tolist()})"
         )
     return weights
 

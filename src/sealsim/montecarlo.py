@@ -317,7 +317,7 @@ def chi_square_check(stats: EmpiricalStats, expected) -> tuple[float, bool]:
     df = expected_counts.size - 1
     if df == 0 or statistic < df + 2:
         return statistic, True
-    if statistic == math.inf:  # overflowed: Q(a, inf) = 0, which _upper_gamma cannot reach
+    if statistic == math.inf:  # overflowed: Q(a, inf) = 0, where the sum's terms read inf - inf
         return statistic, False
     return statistic, _upper_gamma(df / 2, statistic / 2) > 1.0 - CHI_SQUARE_LEVEL
 
@@ -334,34 +334,22 @@ def escape_band_check(stats: EmpiricalStats, escape: float) -> tuple[float, floa
     return rate, three_sigma, abs(rate - escape) <= max(three_sigma, 1e-9)
 
 
-_EPS = 2.0**-53
-_TINY = 1e-300  # keeps the Lentz denominators away from zero
-
-
 def _upper_gamma(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) for a > 0, x >= a + 1.
+    """Regularized upper incomplete gamma Q(a, x) for a = df/2, df a positive integer, x > 0.
 
-    The continued fraction for Q by the modified Lentz method.
+    A finite sum: Q(1/2, x) = erfc(sqrt x) for odd df, Q(1, x) = exp(-x)
+    for even df, then Q(s + 1, x) = Q(s, x) + x^s e^-x / Gamma(s + 1) up
+    to s + 1 = a (DLMF 8.8.2; A&S 26.4.4-5).
     """
-    prefactor = math.exp(a * math.log(x) - x - math.lgamma(a))
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    i = 0
-    while True:
-        i += 1
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        d = _TINY if abs(d) < _TINY else d
-        c = b + an / c
-        c = _TINY if abs(c) < _TINY else c
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) <= _EPS:
-            return h * prefactor
+    if a % 1:
+        first, tail = 0.5, math.erfc(math.sqrt(x))
+    else:
+        first, tail = 1.0, math.exp(-x)
+    log_x = math.log(x)
+    for k in range(round(a - first)):
+        s = first + k
+        tail += math.exp(s * log_x - x - math.lgamma(s + 1.0))
+    return tail
 
 
 def stats_record(config: ExperimentConfig, stats: EmpiricalStats) -> dict:

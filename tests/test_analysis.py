@@ -90,6 +90,13 @@ class TestDecodeMatrix:
         with pytest.raises(ValidationError) as stack:
             weights_of(rows)
         assert str(stack.value) == "amplitude row rows [1] are not unit-norm (sum |c|^2 = [1.25])"
+        # a 3-d stack names its rows by flat index: row (1, 0) is row 2
+        rows = np.zeros((2, 2, 3), dtype=complex)
+        rows[..., 0] = 1.0
+        rows[1, 0, 2] = 0.5
+        with pytest.raises(ValidationError) as deep:
+            weights_of(rows)
+        assert str(deep.value) == "amplitude row rows [2] are not unit-norm (sum |c|^2 = [1.25])"
 
     def test_decode_probabilities_refuses_amplitude_rows(self):
         amplitudes = pi6_matrix().coefficients

@@ -104,6 +104,11 @@ class TestMeasurementFamily:
             assert abs(probs[i] - family_apply(family, i, state)[0]) <= ATOL
         assert abs(probs.sum() - 1.0) <= ATOL
 
+    def test_outcome_probabilities_refuse_weights_of_another_length(self):
+        family = MeasurementFamily.from_nu(4, 0.4)
+        with pytest.raises(UsageError):
+            family.outcome_probabilities(np.full(3, 1.0 / 3))
+
     def test_dimension_cap(self, monkeypatch):
         # the dense N x N expansion is sized by the family's N
         monkeypatch.setenv("SEALSIM_MAX_DIM", "8")

@@ -363,6 +363,23 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            pytest.param(flags, message, id=" ".join(flags))
+            for flags, message in [
+                (("--theta", "0.3", "--thetas", "0.3"), "pass either --theta or --thetas, not both"),
+                (("--thetas", "0.3,x"), "could not parse --thetas '0.3,x'"),
+                (("--theta", "0", "--grid", "0:1"), "grid '0:1' must be start:stop:count"),
+                (("--theta", "0", "--grid", "a:1:3"), "could not parse grid 'a:1:3'"),
+                (("--theta", "0", "--grid", "0.2,x"), "could not parse grid '0.2,x'"),
+            ]
+        ],
+    )
+    def test_malformed_angle_or_grid_is_one_error_line(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "sweep", "--bits", "0", *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("grid", ["0:1:1", "0:1:100002", "0:1:100000000"])
     def test_grid_count_out_of_range(self, capsys, monkeypatch, grid):
         def refuse(*args, **kwargs):

@@ -127,6 +127,10 @@ class TestEmpiricalStats:
         with pytest.raises(ValidationError):
             EmpiricalStats(decode_counts=[2, 1], pass_count=4, trials=3)
 
+    def test_counts_must_be_one_dimensional(self):
+        with pytest.raises(ValidationError):
+            EmpiricalStats(decode_counts=[[1, 1], [1, 0]], pass_count=0, trials=3)
+
 
 class TestRunExperiment:
     def test_reproducible_bit_for_bit(self):
@@ -357,9 +361,13 @@ class TestChiSquare:
         statistic, ok = chi_square_check(stats, [0.0, 1.0, 0.0])
         assert statistic == 0.0 and ok
 
-    def test_a_single_live_cell_passes_at_any_trial_count(self):
+    def test_a_single_live_cell_passes_at_any_trial_count(self, monkeypatch):
         # 1 - 9e-10 is within the sum tolerance; at 9e18 trials its rounding
         # alone gives a statistic of 7.3, and df = 0 has no tail to compute
+        def no_tail(a, x):
+            raise AssertionError(f"tail probability computed at a={a}, x={x}")
+
+        monkeypatch.setattr(mc, "_upper_gamma", no_tail)
         trials = 9 * 10**18
         stats = EmpiricalStats(decode_counts=[trials], pass_count=0, trials=trials)
         statistic, ok = chi_square_check(stats, [1.0 - 9e-10])
@@ -400,6 +408,11 @@ class TestChiSquare:
             if not abs(_upper_gamma(df / 2, x / 2) - ref) <= 1e-10 * ref
         ]
         assert off == []
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2047.5])
+    def test_tail_probability_of_nan_is_nan(self, a):
+        # a fixed number of terms: no x can keep the sum from returning
+        assert math.isnan(_upper_gamma(a, math.nan))
 
     def test_verdicts_match_scipy_next_to_the_critical_value(self):
         # cells 0 and 1 expected at (1 +- delta)/N against flat counts K

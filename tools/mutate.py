@@ -56,8 +56,6 @@ ARITHMETIC = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"), as
 
 # (module, text on the mutated line, old token, new token, why no test can kill it)
 EQUIVALENT = (
-    ("errors.py", "total.reshape(-1)[rows]", "1", "2",
-     "numpy 2.4 reads reshape(-2) as reshape(-1); an older numpy may refuse it"),
     ("errors.py", "bad = ~(np.abs(total - 1.0) <= NORM_ATOL)", "<=", "<",
      "a sum near 1 is off 1 by a multiple of 2**-53, which 1e-12 is not: never equal"),
     ("montecarlo.py", "if not abs(float(expected.sum()) - 1.0) <= 1e-9:", "<=", "<",
@@ -66,16 +64,6 @@ EQUIVALENT = (
      "at df + 2 the chi-square tail is at least 0.0833, so the tail test passes it too"),
     ("montecarlo.py", "or statistic < df + 2:", "2", "3",
      "below df + 3 the chi-square tail is at least 0.0455, so the tail test passes it too"),
-    ("montecarlo.py", "_TINY = 1e-300", "1e-300", "2e-300",
-     "the Lentz floor is never reached on x >= a + 1, so its size does not matter"),
-    ("montecarlo.py", "d = _TINY if abs(d) < _TINY else d", "<", "<=",
-     "the Lentz floor is never reached on x >= a + 1: |d| stays above 3"),
-    ("montecarlo.py", "c = _TINY if abs(c) < _TINY else c", "<", "<=",
-     "the Lentz floor is never reached on x >= a + 1: |c| stays above 3"),
-    ("montecarlo.py", "if abs(delta - 1.0) <= _EPS:", "<=", "<",
-     "waiting for delta == 1 exactly moves Q by under 1e-15 relative; no verdict is that close"),
-    ("montecarlo.py", "c = 1.0 / _TINY", "1.0", "2.0",
-     "any huge start makes the first c exactly b: an / c is far below an ulp of b"),
     ("claims.py", 'worst <= EXACT_ATOL, f"max |fidelity - sum |c|^4|', "<=", "<",
      "claim 6's deviation is a rounding error near 1e-16, never exactly 1e-12"),
     ("claims.py", "ok = abs(value - 1.0 / n) <= EXACT_ATOL", "<=", "<",
