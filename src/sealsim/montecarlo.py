@@ -293,9 +293,9 @@ def chi_square_check(stats: EmpiricalStats, expected) -> tuple[float, bool]:
     Passes when the statistic is below the 99.9th percentile of the
     chi-square distribution with K-1 degrees of freedom, K being the
     number of cells with positive expected probability: exactly when its
-    upper tail Q(df/2, statistic/2) exceeds 1 - CHI_SQUARE_LEVEL.  A
-    nonzero count in a zero-probability cell fails outright; one live cell,
-    or a statistic below df + 2 (where Q >= 0.0833), passes without a tail.
+    upper tail P(chi-square_df > statistic) exceeds 1 - CHI_SQUARE_LEVEL.
+    A nonzero count in a zero-probability cell fails outright; one live
+    cell passes, since its count is the trial count.
     """
     expected = np.asarray(expected, dtype=float)
     if expected.shape != stats.decode_counts.shape:
@@ -315,11 +315,9 @@ def chi_square_check(stats: EmpiricalStats, expected) -> tuple[float, bool]:
     expected_counts = expected[live] * stats.trials
     statistic = float(np.sum((counts[live] - expected_counts) ** 2 / expected_counts))
     df = expected_counts.size - 1
-    if df == 0 or statistic < df + 2:
+    if df == 0:
         return statistic, True
-    if statistic == math.inf:  # overflowed: Q(a, inf) = 0, where the sum's terms read inf - inf
-        return statistic, False
-    return statistic, _upper_gamma(df / 2, statistic / 2) > 1.0 - CHI_SQUARE_LEVEL
+    return statistic, _chi_square_tail(df, statistic) > 1.0 - CHI_SQUARE_LEVEL
 
 
 def escape_band_check(stats: EmpiricalStats, escape: float) -> tuple[float, float, bool]:
@@ -334,21 +332,23 @@ def escape_band_check(stats: EmpiricalStats, escape: float) -> tuple[float, floa
     return rate, three_sigma, abs(rate - escape) <= max(three_sigma, 1e-9)
 
 
-def _upper_gamma(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) for a = df/2, df a positive integer, x > 0.
+def _chi_square_tail(df: int, statistic: float) -> float:
+    """P(chi-square_df > statistic) for a whole number df >= 0 and a statistic >= 0.
 
-    A finite sum: Q(1/2, x) = erfc(sqrt x) for odd df, Q(1, x) = exp(-x)
-    for even df, then Q(s + 1, x) = Q(s, x) + x^s e^-x / Gamma(s + 1) up
-    to s + 1 = a (DLMF 8.8.2; A&S 26.4.4-5).
+    A finite sum in x = statistic/2: start from Q(1/2, x) = erfc(sqrt x)
+    for odd df or Q(0, x) = 0 for even df, then add x^s e^-x / Gamma(s + 1)
+    for each step from s to s + 1, df // 2 times (DLMF 8.8.2; A&S 26.4.4-5).
     """
-    if a % 1:
-        first, tail = 0.5, math.erfc(math.sqrt(x))
-    else:
-        first, tail = 1.0, math.exp(-x)
+    x = statistic / 2
+    if x == 0.0:  # no log 0; with df = 0 the chi-square is 0 itself
+        return float(df > 0)
+    if x == math.inf:  # the terms would read inf - inf
+        return 0.0
+    s, tail = (0.5, math.erfc(math.sqrt(x))) if df % 2 else (0.0, 0.0)
     log_x = math.log(x)
-    for k in range(round(a - first)):
-        s = first + k
+    for _ in range(df // 2):
         tail += math.exp(s * log_x - x - math.lgamma(s + 1.0))
+        s += 1.0
     return tail
 
 

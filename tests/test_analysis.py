@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import sealsim.analysis as analysis
+
 from oracles import apply_and_normalize, flat_posterior_mass
 from sealsim.analysis import (
     average_fidelity,
@@ -170,6 +172,37 @@ class TestMutualInformation:
         mi = mutual_information(decode_matrix(om, 0.5))
         assert abs(mi - MI_M3_THETA0_NU_HALF) <= ATOL
 
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.25, 0.25, 0.5]]),  # 2 messages x 4 outcomes
+            np.array([[0.9, 0.1], [0.3, 0.7], [0.5, 0.5]]),  # 3 x 2, no zeros
+        ],
+    )
+    def test_non_square_matrices_match_a_direct_entropy_sum(self, probs):
+        def entropy(p):
+            return -sum(x * math.log2(x) for x in p if x > 0.0)
+
+        direct = entropy(probs.mean(axis=0)) - np.mean([entropy(row) for row in probs])
+        assert abs(mutual_information(probs) - direct) <= ATOL
+
+    @pytest.mark.parametrize("zero_rows", [0, 1, 3])
+    def test_zero_free_rows_take_one_reduction(self, monkeypatch, zero_rows):
+        # _entropy_bits runs for the marginal and once per row with a zero;
+        # the zero-free rows share one axis=1 sum, bit for bit the same
+        calls = []
+        entropy_bits = analysis._entropy_bits
+
+        def counted(distribution):
+            calls.append(distribution)
+            return entropy_bits(distribution)
+
+        probs = decode_matrix(overlap_matrix(ProductSealSpec.shared_theta("00", 0.3)), 0.5).copy()
+        probs[:zero_rows] = [0.5, 0.5, 0.0, 0.0]
+        monkeypatch.setattr(analysis, "_entropy_bits", counted)
+        mutual_information(probs)
+        assert len(calls) == 1 + zero_rows
+
     def test_bounds(self):
         rng = np.random.default_rng(123)
         raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -209,6 +242,12 @@ class TestAverageFidelity:
             raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             row = raw / np.linalg.norm(raw)
             assert average_fidelity(weights_of(row), 0.5) >= 0.5
+
+    def test_a_stack_of_rows_is_read_along_its_last_axis(self):
+        # three rows of N = 4: the family is the one for N = 4, not N = 3
+        stack = np.random.default_rng(12).dirichlet(np.ones(4), size=3)
+        per_row = [average_fidelity(row, 0.5) for row in stack]
+        assert average_fidelity(stack, 0.5).tolist() == per_row
 
     def test_non_unit_row_is_stopped_where_the_weights_are_made(self):
         with pytest.raises(ValidationError):
@@ -278,6 +317,8 @@ class TestTradeoffSweep:
             tradeoff_sweep(pi6_matrix(), [0.0, 1.5])
         with pytest.raises(UsageError):
             tradeoff_sweep(pi6_matrix(), [])
+        with pytest.raises(UsageError, match="strictly increasing"):
+            tradeoff_sweep(pi6_matrix(), [0.2, 0.2])
 
 
 class TestBitSealPoint:

@@ -373,6 +373,7 @@ class TestUsageErrors:
                 (("--theta", "0", "--grid", "0:1"), "grid '0:1' must be start:stop:count"),
                 (("--theta", "0", "--grid", "a:1:3"), "could not parse grid 'a:1:3'"),
                 (("--theta", "0", "--grid", "0.2,x"), "could not parse grid '0.2,x'"),
+                (("--theta", "0.3", "--grid", "0.2,0.2"), "nu grid must be strictly increasing"),
             ]
         ],
     )

@@ -53,7 +53,7 @@ from sealsim.analysis import (
     tradeoff_sweep,
 )
 from sealsim.attacks import MeasurementFamily, coin_toss_probabilities
-from sealsim.claims import THETA_GRID, seal_suite
+from sealsim.claims import EXACT_ATOL, THETA_GRID, seal_suite
 from sealsim.errors import NORM_ATOL, UsageError, unit_norm_weights
 from sealsim.montecarlo import _family_tables, _GuideTable, _sample_index
 from sealsim.seals import (
@@ -472,8 +472,47 @@ def escape_floor_at_half(n: int) -> float:
 BIT_SEAL_BETA_CEILING = (2.0 - math.sqrt(3.0)) / 4.0
 
 
+@st.composite
+def whole_domain_seals(draw):
+    """A general seal of N <= 64, sparse rows included, or a mixed-angle product seal of m <= 10."""
+    if draw(st.booleans()):
+        n, seed = draw(st.integers(2, 64)), draw(st.integers(0, 2**32 - 1))
+        return random_overlaps(seed, n, draw(st.sampled_from((0.0, 0.6))))
+    thetas = draw(st.lists(angles, min_size=1, max_size=10))
+    bits = "".join(draw(st.sampled_from("01")) for _ in thetas)
+    return overlap_matrix(ProductSealSpec(bits, tuple(thetas)))
+
+
 class TestClaimsOverTheirWholeDomain:
-    """The closed-form extremes behind claims 4, 5 and 9, over every seal and angle."""
+    """The closed-form extremes behind claims 3, 4, 5, 6, 8 and 9, over every seal and angle."""
+
+    @fixed
+    @given(whole_domain_seals(), nus)
+    def test_claim_3_every_decode_entry_is_at_least_the_flat_floor(self, om, nu):
+        # (1-nu)/N + nu w with w >= 0 rounds to no less than (1-nu)/N
+        assert decode_matrix(om, nu).min() >= (1.0 - nu) / om.dim
+
+    @fixed
+    @given(whole_domain_seals())
+    def test_claim_6_full_read_fidelity_is_the_quartic_sum_in_one_over_n_to_one(self, om):
+        # at nu = 1, a = 0 and b = 1: each row's fidelity is sum w^2, and
+        # 1/N <= sum w^2 <= 1 for weights summing to 1 (Cauchy-Schwarz)
+        fidelity = average_fidelity(om.weights, 1.0)
+        assert np.max(np.abs(fidelity - np.sum(om.weights**2, axis=-1))) <= EXACT_ATOL
+        assert 1.0 / om.dim - EXACT_ATOL <= fidelity.min() and fidelity.max() <= 1.0
+
+    @fixed
+    @given(whole_domain_seals())
+    def test_claim_8_nothing_is_learned_without_reading(self, om):
+        # at nu = 0 every decode row is the flat row 1/N
+        assert mutual_information(decode_matrix(om, 0.0)) <= EXACT_ATOL
+
+    @fixed
+    @given(st.integers(1, 10), nus)
+    def test_claim_8_nothing_is_learned_from_the_flat_seal(self, m, nu):
+        # at theta = pi/4 every row of W is 1/N, so every decode row is too
+        flat = overlap_matrix(ProductSealSpec.shared_theta("0" * m, math.pi / 4))
+        assert mutual_information(decode_matrix(flat, nu)) <= EXACT_ATOL
 
     @fixed
     @given(unit_rows(max_n=64))

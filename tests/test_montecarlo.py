@@ -19,9 +19,9 @@ from sealsim.montecarlo import (
     ExperimentConfig,
     ExplicitSealSpec,
     FamilyStrategy,
+    _chi_square_tail,
     _philox,
     _uniform,
-    _upper_gamma,
     chi_square_check,
     draw_chunks,
     escape_band_check,
@@ -353,10 +353,10 @@ class TestChiSquare:
         assert statistic == pytest.approx(256.0) and not ok
 
     def test_single_live_cell_passes_without_a_tail_probability(self, monkeypatch):
-        def no_tail(a, x):
-            raise AssertionError(f"tail probability computed at a={a}, x={x}")
+        def no_tail(df, statistic):
+            raise AssertionError(f"tail probability computed at df={df}, statistic={statistic}")
 
-        monkeypatch.setattr(mc, "_upper_gamma", no_tail)
+        monkeypatch.setattr(mc, "_chi_square_tail", no_tail)
         stats = EmpiricalStats(decode_counts=[0, 1000, 0], pass_count=0, trials=1000)
         statistic, ok = chi_square_check(stats, [0.0, 1.0, 0.0])
         assert statistic == 0.0 and ok
@@ -364,27 +364,22 @@ class TestChiSquare:
     def test_a_single_live_cell_passes_at_any_trial_count(self, monkeypatch):
         # 1 - 9e-10 is within the sum tolerance; at 9e18 trials its rounding
         # alone gives a statistic of 7.3, and df = 0 has no tail to compute
-        def no_tail(a, x):
-            raise AssertionError(f"tail probability computed at a={a}, x={x}")
+        def no_tail(df, statistic):
+            raise AssertionError(f"tail probability computed at df={df}, statistic={statistic}")
 
-        monkeypatch.setattr(mc, "_upper_gamma", no_tail)
+        monkeypatch.setattr(mc, "_chi_square_tail", no_tail)
         trials = 9 * 10**18
         stats = EmpiricalStats(decode_counts=[trials], pass_count=0, trials=trials)
         statistic, ok = chi_square_check(stats, [1.0 - 9e-10])
         assert statistic > 2.0 and ok
 
-    def test_zero_statistic_passes_without_a_tail_probability(self, monkeypatch):
-        # Q(a, x) takes log(x), so x = 0 must not reach it
-        def no_tail(a, x):
-            raise AssertionError(f"tail probability computed at a={a}, x={x}")
-
-        monkeypatch.setattr(mc, "_upper_gamma", no_tail)
+    def test_zero_statistic_passes(self):
         stats = EmpiricalStats(decode_counts=[500, 500], pass_count=0, trials=1000)
         assert chi_square_check(stats, [0.5, 0.5]) == (0.0, True)
 
     def test_a_tail_exactly_at_the_threshold_fails(self, monkeypatch):
         # a histogram passes only when its tail exceeds 1 - CHI_SQUARE_LEVEL
-        monkeypatch.setattr(mc, "_upper_gamma", lambda a, x: 1.0 - CHI_SQUARE_LEVEL)
+        monkeypatch.setattr(mc, "_chi_square_tail", lambda df, statistic: 1.0 - CHI_SQUARE_LEVEL)
         stats = EmpiricalStats(decode_counts=[600, 400], pass_count=0, trials=1000)
         assert chi_square_check(stats, [0.5, 0.5]) == (40.0, False)
 
@@ -394,25 +389,41 @@ class TestChiSquare:
         with np.errstate(over="ignore"):
             assert chi_square_check(stats, [5e-324, 1.0]) == (math.inf, False)
 
-    def test_tail_probability_matches_scipy_at_the_critical_values(self):
+    def test_tail_probability_matches_scipy(self):
         # every df a histogram under the default dimension cap can have,
-        # plus two beyond it for a raised SEALSIM_MAX_DIM
+        # plus two beyond it for a raised SEALSIM_MAX_DIM, at the critical
+        # value and at statistics df/2, df and df + 1.999 below it
         from scipy.stats import chi2
 
         dfs = list(range(1, DEFAULT_MAX_DIM)) + [8191, 65535]
-        critical = chi2.ppf(CHI_SQUARE_LEVEL, dfs)
-        reference = chi2.sf(critical, dfs)
-        off = [
-            (df, _upper_gamma(df / 2, x / 2), float(ref))
-            for df, x, ref in zip(dfs, critical, reference)
-            if not abs(_upper_gamma(df / 2, x / 2) - ref) <= 1e-10 * ref
-        ]
+        critical, off = chi2.ppf(CHI_SQUARE_LEVEL, dfs), []
+        for statistics in (critical, np.divide(dfs, 2), dfs, np.add(dfs, 1.999)):
+            for df, x, ref in zip(dfs, map(float, statistics), chi2.sf(statistics, dfs)):
+                tail = _chi_square_tail(df, x)
+                if not abs(tail - ref) <= 1e-10 * ref:
+                    off.append((df, x, tail, float(ref)))
         assert off == []
 
-    @pytest.mark.parametrize("a", [0.5, 1.0, 2047.5])
-    def test_tail_probability_of_nan_is_nan(self, a):
-        # a fixed number of terms: no x can keep the sum from returning
-        assert math.isnan(_upper_gamma(a, math.nan))
+    @pytest.mark.parametrize("df", [1, 2, 4095])
+    def test_tail_probability_of_nan_is_nan(self, df):
+        # a fixed number of terms: no statistic can keep the sum from returning
+        assert math.isnan(_chi_square_tail(df, math.nan))
+
+    @pytest.mark.parametrize("df", [1, 2, 4095])
+    def test_tail_edges(self, df):
+        # a statistic of 0 takes no log 0, and inf no inf - inf
+        assert _chi_square_tail(df, 0.0) == 1.0
+        assert _chi_square_tail(df, math.inf) == 0.0
+
+    def test_tail_with_no_degrees_of_freedom_is_zero(self):
+        # the chi-square with df = 0 is 0 itself, so it never exceeds a statistic
+        assert _chi_square_tail(0, 3.0) == 0.0
+        assert _chi_square_tail(0, 0.0) == 0.0
+
+    def test_tail_of_a_float_df_raises(self):
+        # a float df would otherwise give the tail of a neighbouring df
+        with pytest.raises(TypeError):
+            _chi_square_tail(3.0, 2.0)
 
     def test_verdicts_match_scipy_next_to_the_critical_value(self):
         # cells 0 and 1 expected at (1 +- delta)/N against flat counts K
@@ -438,22 +449,8 @@ class TestChiSquare:
                     wrong.append((df, factor))
         assert wrong == []
 
-    def test_the_tail_below_df_plus_2_is_far_above_the_threshold(self):
-        # why a statistic below df + 2 needs no tail probability: there Q
-        # is least at df = 1, where chi2.sf(3, 1) = 0.0833 > 0.001
-        from scipy.stats import chi2
-
-        dfs = np.array(list(range(1, DEFAULT_MAX_DIM)) + [8191, 65535])
-        tails = chi2.sf(dfs + 2, dfs)
-        assert np.all(tails > 0.083) and 0.083 > 1.0 - CHI_SQUARE_LEVEL
-        assert dfs[np.argmin(tails)] == 1
-
     @pytest.mark.parametrize("df", [1, 3, 15, 255, 4095])
-    def test_a_statistic_below_df_plus_2_passes_without_a_tail_probability(self, monkeypatch, df):
-        def no_tail(a, x):
-            raise AssertionError(f"tail probability computed at a={a}, x={x}")
-
-        monkeypatch.setattr(mc, "_upper_gamma", no_tail)
+    def test_a_statistic_below_df_plus_2_passes(self, df):
         # flat counts K per cell against cells 0 and 1 expected at
         # (1 +- delta)/N give chi-square 2 K delta^2 / (1 - delta^2)
         per_cell, n = 10**6, df + 1

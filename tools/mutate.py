@@ -17,7 +17,7 @@ when EQUIVALENT lists it; equivalent mutants are not run.
 
     python tools/mutate.py --list                      # every site; runs no tests
     python tools/mutate.py src/sealsim/errors.py       # the mutants of one module
-    python tools/mutate.py --function _upper_gamma src/sealsim/montecarlo.py
+    python tools/mutate.py --function chi_square_check src/sealsim/montecarlo.py
     python tools/mutate.py --since main                # the lines changed since a revision
 
 Exit status: 0 when no mutant survives, 1 when one does, 2 when the
@@ -60,10 +60,10 @@ EQUIVALENT = (
      "a sum near 1 is off 1 by a multiple of 2**-53, which 1e-12 is not: never equal"),
     ("montecarlo.py", "if not abs(float(expected.sum()) - 1.0) <= 1e-9:", "<=", "<",
      "a sum near 1 is off 1 by a multiple of 2**-53, which 1e-9 is not: never equal"),
-    ("montecarlo.py", "or statistic < df + 2:", "<", "<=",
-     "at df + 2 the chi-square tail is at least 0.0833, so the tail test passes it too"),
-    ("montecarlo.py", "or statistic < df + 2:", "2", "3",
-     "below df + 3 the chi-square tail is at least 0.0455, so the tail test passes it too"),
+    ("analysis.py", "guess_probability=float(np.trace(probs)) / probs.shape[0],", "0", "1",
+     "a decode matrix from an OverlapMatrix is square, so shape[1] is shape[0]"),
+    ("analysis.py", "guess_probability=float(np.trace(probs)) / probs.shape[0],", "0", "-1",
+     "a decode matrix from an OverlapMatrix is square, so shape[-1] is shape[0]"),
     ("claims.py", 'worst <= EXACT_ATOL, f"max |fidelity - sum |c|^4|', "<=", "<",
      "claim 6's deviation is a rounding error near 1e-16, never exactly 1e-12"),
     ("claims.py", "ok = abs(value - 1.0 / n) <= EXACT_ATOL", "<=", "<",
