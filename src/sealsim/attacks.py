@@ -22,40 +22,35 @@ assumed equal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError, check_dim, check_unit_interval, real_weights, unit_norm_weights
+from .errors import UsageError, check_unit_interval, real_weights, unit_norm_weights
 
 
 @dataclass(frozen=True)
 class MeasurementFamily:
-    """The N structured operators a*I + b*|i><i| for one nu."""
+    """The N structured operators a*I + b*|i><i| for one nu; nu and N fix a and b."""
 
     nu: float
     dim: int
-    a: float
-    b: float
+    a: float = field(init=False)
+    b: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise UsageError(f"dimension must be at least 1, got {self.dim}")
+        nu = check_unit_interval("nu", self.nu)
+        a = math.sqrt((1.0 - nu) / self.dim)
+        object.__setattr__(self, "nu", float(nu))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", math.sqrt((1.0 - nu) / self.dim + nu) - a)
 
     @classmethod
     def from_nu(cls, dim: int, nu: float) -> "MeasurementFamily":
         """The complete N-operator family at read strength nu: two coefficients, no array."""
-        if dim < 1:
-            raise UsageError(f"dimension must be at least 1, got {dim}")
-        check_unit_interval("nu", nu)
-        a = math.sqrt((1.0 - nu) / dim)
-        b = math.sqrt((1.0 - nu) / dim + nu) - a
-        return cls(nu=float(nu), dim=dim, a=a, b=b)
-
-    def operator(self, index: int) -> np.ndarray:
-        """Dense N x N complex expansion of the operator targeting basis state index."""
-        if not 0 <= index < self.dim:
-            raise UsageError(f"operator index {index} out of range")
-        check_dim(self.dim)
-        entries = self.a * np.eye(self.dim, dtype=complex)
-        entries[index, index] += self.b
-        return entries
+        return cls(nu=nu, dim=dim)
 
     def outcome_probabilities(self, weights: np.ndarray) -> np.ndarray:
         """||Q_i c||^2 for every i, from the weights |c|^2 of a sealed row c.

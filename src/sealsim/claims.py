@@ -116,6 +116,16 @@ def _random_unit_rows(seed: int, n: int, count: int) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
+def _dense_operators(family: MeasurementFamily) -> np.ndarray:
+    """ops[i] = a I + b |i><i|, the family's N operators as one (N, N, N) array."""
+    n = family.dim
+    diag = np.arange(n)
+    ops = np.zeros((n, n, n), dtype=complex)
+    ops[:, diag, diag] = family.a
+    ops[diag, diag, diag] += family.b
+    return ops
+
+
 def _decode_closed_form_gap(seed: int) -> float:
     """Max |closed form - dense ||Q_i psi||^2| over the claim-2 grid."""
     worst = 0.0
@@ -123,8 +133,7 @@ def _decode_closed_form_gap(seed: int) -> float:
         rows = _random_unit_rows(seed, n, 100)
         weights = np.abs(rows) ** 2
         for nu in NU_GRID_FINE:
-            family = MeasurementFamily.from_nu(n, nu)
-            ops = np.stack([family.operator(i) for i in range(n)])
+            ops = _dense_operators(MeasurementFamily.from_nu(n, nu))
             # raw[i, r] = Q_i rows[r]; summing over the contiguous last axis
             # matches ||Q psi||^2 of tests/oracles.py's apply_and_normalize
             # bit for bit

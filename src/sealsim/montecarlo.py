@@ -155,10 +155,16 @@ class EmpiricalStats:
         counts = np.array(decode_counts, dtype=np.int64)
         if counts.ndim != 1:
             raise ValidationError("decode_counts must be a 1-d histogram")
+        if not np.array_equal(counts, decode_counts) or np.any(counts < 0):
+            raise ValidationError("decode counts must be whole numbers >= 0")
+        if trials < 1:
+            raise ValidationError(f"trials must be at least 1, got {trials}")
         if int(counts.sum()) != trials:
             raise ValidationError(
                 f"decode counts sum to {int(counts.sum())}, expected {trials}"
             )
+        if not float(pass_count).is_integer():
+            raise ValidationError(f"pass count must be a whole number, got {pass_count}")
         if not 0 <= pass_count <= trials:
             raise ValidationError(f"pass count {pass_count} outside [0, {trials}]")
         counts.setflags(write=False)

@@ -57,6 +57,8 @@ class OverlapMatrix:
         arr = np.array(coefficients, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"overlap matrix must be square, got {arr.shape}")
+        if arr.size == 0:
+            raise ValidationError("overlap matrix must be at least 1 x 1")
         unit_norm_weights(arr, "overlap matrix")
         arr.setflags(write=False)
         object.__setattr__(self, "coefficients", arr)

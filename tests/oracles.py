@@ -2,9 +2,10 @@
 
 These are the dense and round-by-round forms that no command runs:
 operator application with renormalization, fidelity, the tensor product
-of per-qubit states, the completeness sum of the N dense operators, a
-single attack round and a single verifier check, the per-column flat
-posterior mass and its marginal-weighted sum, a sweep point's guess and
+of per-qubit states, a family's dense N x N operators and the
+completeness sum of the N of them, a single attack round and a single
+verifier check, the per-column flat posterior mass and its
+marginal-weighted sum, a sweep point's guess and
 escape probabilities in 40-digit decimal arithmetic, the Holevo and
 square-root-measurement ceilings of a seal's ensemble by a dense
 eigendecomposition, the escape probability of the re-prepare read by
@@ -33,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from sealsim.attacks import MeasurementFamily
-from sealsim.errors import UsageError, check_unit_interval, unit_norm_weights
+from sealsim.errors import UsageError, check_dim, check_unit_interval, unit_norm_weights
 from sealsim.montecarlo import (
     DRAWS_PER_ROUND,
     EmpiricalStats,
@@ -103,6 +104,16 @@ def fidelity(s1: np.ndarray, s2: np.ndarray) -> float:
     return float(min(abs(overlap) ** 2, 1.0))
 
 
+def family_operator(family: MeasurementFamily, index: int) -> np.ndarray:
+    """Dense N x N complex expansion a*I + b*|index><index| of operator `index`."""
+    if not 0 <= index < family.dim:
+        raise UsageError(f"operator index {index} out of range")
+    check_dim(family.dim)
+    entries = family.a * np.eye(family.dim, dtype=complex)
+    entries[index, index] += family.b
+    return entries
+
+
 def family_apply(
     family: MeasurementFamily, index: int, state: np.ndarray
 ) -> tuple[float, np.ndarray | None]:
@@ -122,7 +133,7 @@ def dense_completeness_deviation(family: MeasurementFamily) -> float:
     n = family.dim
     total = np.zeros((n, n), dtype=complex)
     for i in range(n):
-        q = family.operator(i)
+        q = family_operator(family, i)
         total += q.conj().T @ q
     return float(np.max(np.abs(total - np.eye(n))))
 

@@ -7,14 +7,16 @@ compares the report bytes.  Each test prints its own PASS/FAIL line
 """
 
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from oracles import apply_and_normalize
+from oracles import apply_and_normalize, family_operator
 from sealsim import claims, montecarlo
 from sealsim.analysis import decode_probabilities
 from sealsim.attacks import MeasurementFamily
@@ -282,7 +284,7 @@ def dense_loop_gap(seed: int) -> float:
                 family = MeasurementFamily.from_nu(n, nu)
                 closed = decode_probabilities(unit_norm_weights(row, "row"), nu)
                 for i in range(n):
-                    prob, _ = apply_and_normalize(family.operator(i), row)
+                    prob, _ = apply_and_normalize(family_operator(family, i), row)
                     worst = max(worst, abs(prob - closed[i]))
     return worst
 
@@ -290,3 +292,31 @@ def dense_loop_gap(seed: int) -> float:
 @pytest.mark.parametrize("seed", [42, 0, 1, 7])
 def test_criterion_02_stacked_operators_match_per_operator_oracle(seed):
     assert claims._decode_closed_form_gap(seed) == dense_loop_gap(seed)
+
+
+def test_criterion_02_checks_the_grid_its_line_names(monkeypatch):
+    # the gap is a max, so a grid that lost or changed an N could print the same value
+    drawn = []
+
+    def record(seed, n, count):
+        drawn.append((n, count))
+        return original(seed, n, count)
+
+    original = claims._random_unit_rows
+    monkeypatch.setattr(claims, "_random_unit_rows", record)
+    [(ok, text)] = claims.check_decode_closed_form(42)
+    rows, dims, nus = re.search(r"over (\d+) rows x N in \(([\d,]+)\) x (\d+) nu$", text).groups()
+    assert ok
+    assert drawn == [(int(n), int(rows)) for n in dims.split(",")]
+    assert len(claims.NU_GRID_FINE) == int(nus)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16])
+def test_criterion_02_operator_array_is_the_stack_of_dense_operators(n):
+    for nu in claims.NU_GRID_FINE:
+        family = MeasurementFamily.from_nu(n, nu)
+        stacked = np.stack([family_operator(family, i) for i in range(n)])
+        ops = claims._dense_operators(family)
+        # the same bits, signed zeros too, so the claim-2 matmul is unchanged
+        assert (ops.dtype, ops.shape) == (stacked.dtype, stacked.shape)
+        assert ops.tobytes() == stacked.tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from oracles import (
     coin_toss_attack,
     dense_completeness_deviation,
     family_apply,
+    family_operator,
     fidelity,
     run_attack,
 )
@@ -17,7 +19,7 @@ from sealsim.attacks import (
     coin_toss_probabilities,
 )
 from sealsim.claims import NU_GRID_COARSE
-from sealsim.errors import ResourceError, UsageError, ValidationError, unit_norm_weights
+from sealsim.errors import UsageError, ValidationError, unit_norm_weights
 from sealsim.seals import OverlapMatrix, ProductSealSpec, product_seal
 
 ATOL = 1e-12
@@ -43,6 +45,20 @@ class TestFromNu:
         assert c.a == pytest.approx(math.sqrt(1 / 4), abs=ATOL)
         assert c.a + c.b == pytest.approx(math.sqrt(1 / 2 + 1 / 4), abs=ATOL)
 
+    def test_direct_construction_is_from_nu(self):
+        assert MeasurementFamily(nu=0.5, dim=4) == MeasurementFamily.from_nu(4, 0.5)
+
+    def test_coefficients_are_not_init_fields(self):
+        # nu and N fix a and b, so a family with a = b = 0 cannot be built
+        assert [f.name for f in dataclasses.fields(MeasurementFamily) if f.init] == ["nu", "dim"]
+        with pytest.raises(TypeError):
+            MeasurementFamily(nu=0.5, dim=4, a=0.0, b=0.0)
+
+    @pytest.mark.parametrize("nu, dim", [(7.0, 4), (0.5, 0)])
+    def test_direct_construction_is_checked(self, nu, dim):
+        with pytest.raises(UsageError):
+            MeasurementFamily(nu=nu, dim=dim)
+
     def test_range_checks(self):
         with pytest.raises(UsageError):
             MeasurementFamily.from_nu(2, 1.5)
@@ -52,7 +68,7 @@ class TestFromNu:
             MeasurementFamily.from_nu(0, 0.5)
 
     def test_no_dimension_cap(self, monkeypatch):
-        # two coefficients allocate nothing; the cap guards operator()
+        # two coefficients allocate nothing, so no N is capped
         monkeypatch.setenv("SEALSIM_MAX_DIM", "8")
         family = MeasurementFamily.from_nu(16, 0.5)
         assert (family.dim, family.nu) == (16, 0.5)
@@ -61,7 +77,7 @@ class TestFromNu:
 class TestMeasurementFamily:
     def test_nu_one_is_projector(self):
         family = MeasurementFamily.from_nu(3, 1.0)
-        op = family.operator(1)
+        op = family_operator(family, 1)
         expected = np.zeros((3, 3))
         expected[1, 1] = 1.0
         assert np.allclose(op, expected, atol=ATOL)
@@ -69,7 +85,7 @@ class TestMeasurementFamily:
     def test_nu_zero_is_scaled_identity(self):
         family = MeasurementFamily.from_nu(4, 0.0)
         assert np.allclose(
-            family.operator(2), math.sqrt(0.25) * np.eye(4), atol=ATOL
+            family_operator(family, 2), math.sqrt(0.25) * np.eye(4), atol=ATOL
         )
 
     @pytest.mark.parametrize("n", [2, 4, 16, 256])
@@ -92,7 +108,7 @@ class TestMeasurementFamily:
                 state = random_state(n, seed=n * 1000 + trial)
                 i = trial % n
                 prob_fast, post_fast = family_apply(family, i, state)
-                prob_dense, post_dense = apply_and_normalize(family.operator(i), state)
+                prob_dense, post_dense = apply_and_normalize(family_operator(family, i), state)
                 assert abs(prob_fast - prob_dense) <= ATOL
                 assert np.max(np.abs(post_fast - post_dense)) <= ATOL
 
@@ -109,17 +125,10 @@ class TestMeasurementFamily:
         with pytest.raises(UsageError):
             family.outcome_probabilities(np.full(3, 1.0 / 3))
 
-    def test_dimension_cap(self, monkeypatch):
-        # the dense N x N expansion is sized by the family's N
-        monkeypatch.setenv("SEALSIM_MAX_DIM", "8")
-        family = MeasurementFamily.from_nu(16, 0.5)
-        with pytest.raises(ResourceError):
-            family.operator(0)
-
     def test_operator_index_range(self):
         family = MeasurementFamily.from_nu(2, 0.5)
         with pytest.raises(UsageError):
-            family.operator(2)
+            family_operator(family, 2)
 
 
 class TestRunAttack:

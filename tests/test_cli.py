@@ -1133,7 +1133,8 @@ class TestClaims:
 
         def broken(cls, dim, nu):
             family = original(cls, dim, nu)
-            return MeasurementFamily(nu=family.nu, dim=family.dim, a=family.a, b=-family.b)
+            object.__setattr__(family, "b", -family.b)
+            return family
 
         monkeypatch.setattr(MeasurementFamily, "from_nu", classmethod(broken))
         code, out, _ = run_cli(capsys, "claims", "--seed", "1", "--trials", "50")

@@ -559,12 +559,17 @@ def outcome_weights(draw):
 
 
 class TestGuideTable:
+    @pytest.mark.parametrize("n, bins", [(1, 16), (2, 32), (3, 64), (17, 512), (4096, 65536)])
+    def test_bins_are_the_least_power_of_two_at_or_above_16_n(self, n, bins):
+        assert _GuideTable(np.cumsum(np.full(n, 1.0 / n))).bins == bins
+
     @settings(derandomize=True, database=None, max_examples=80, deadline=None)
     @given(outcome_weights(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
     def test_gives_the_index_of_the_plain_search_per_draw(self, weights, extra):
         cumulative = np.cumsum(weights)
         table = _GuideTable(cumulative)
         assert table.bins >= 16 * len(weights) and table.bins & (table.bins - 1) == 0
+        assert table.first.shape == table.split.shape == (table.bins,)
         k = np.arange(table.bins)
         steps = cumulative / cumulative[-1]
         uniforms = np.concatenate([

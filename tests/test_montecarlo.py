@@ -126,10 +126,28 @@ class TestEmpiricalStats:
     def test_pass_count_bounded(self):
         with pytest.raises(ValidationError):
             EmpiricalStats(decode_counts=[2, 1], pass_count=4, trials=3)
+        with pytest.raises(ValidationError):
+            EmpiricalStats(decode_counts=[2, 1], pass_count=-1, trials=3)
 
     def test_counts_must_be_one_dimensional(self):
         with pytest.raises(ValidationError):
             EmpiricalStats(decode_counts=[[1, 1], [1, 0]], pass_count=0, trials=3)
+
+    @pytest.mark.parametrize(
+        "counts, pass_count, trials",
+        [([2.5, 0.5], 1, 2), ([2, 0], 1.7, 2), ([3, -1], 1, 2), ([0, 0], 0, 0)],
+        ids=["fractional-count", "fractional-pass-count", "negative-count", "no-trials"],
+    )
+    def test_a_histogram_it_cannot_hold_is_refused(self, counts, pass_count, trials):
+        # the checks read a histogram per cell and divide by trials
+        with pytest.raises(ValidationError):
+            EmpiricalStats(decode_counts=counts, pass_count=pass_count, trials=trials)
+
+    def test_whole_counts_are_held_as_int64(self):
+        assert EmpiricalStats(decode_counts=[0, 1], pass_count=1, trials=1).trials == 1
+        stats = EmpiricalStats(decode_counts=[2.0, 1.0], pass_count=2.0, trials=3)
+        assert stats.decode_counts.dtype == np.int64
+        assert stats.decode_counts.tolist() == [2, 1] and stats.pass_count == 2
 
 
 class TestRunExperiment:

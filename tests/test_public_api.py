@@ -98,6 +98,7 @@ MOVED_FROM_CLI_TO_SEALS = ["_cache_entry", "_read_entry", "_write_entry", "_load
 
 MOVED_METHODS = [
     ("MeasurementFamily", "apply"),
+    ("MeasurementFamily", "operator"),
     ("ExperimentConfig", "sealed_state"),
 ]
 

@@ -57,6 +57,13 @@ class TestOverlapMatrix:
         with pytest.raises(ValidationError):
             OverlapMatrix(np.eye(2)[:1])
 
+    def test_must_not_be_empty(self):
+        with pytest.raises(ValidationError):
+            OverlapMatrix(np.zeros((0, 0)))
+        with pytest.raises(ValidationError):
+            OverlapMatrix.identity(0)
+        assert OverlapMatrix.identity(1).dim == 1
+
     def test_a_row_norm_may_be_off_by_1e_12(self):
         rows = np.eye(2)
         rows[0, 0] = math.sqrt(1.0 + 0.5e-12)

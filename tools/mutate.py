@@ -64,6 +64,9 @@ EQUIVALENT = (
      "a decode matrix from an OverlapMatrix is square, so shape[1] is shape[0]"),
     ("analysis.py", "guess_probability=float(np.trace(probs)) / probs.shape[0],", "0", "-1",
      "a decode matrix from an OverlapMatrix is square, so shape[-1] is shape[0]"),
+    ("montecarlo.py", "np.nextafter(edges[1:], 0.0))", "0.0", "1.0",
+     "the outcome is monotone in the draw, so testing the draw just above a bin marks a "
+     "superset of the bins with a step; every draw still gets the plain search's outcome"),
     ("claims.py", 'worst <= EXACT_ATOL, f"max |fidelity - sum |c|^4|', "<=", "<",
      "claim 6's deviation is a rounding error near 1e-16, never exactly 1e-12"),
     ("claims.py", "ok = abs(value - 1.0 / n) <= EXACT_ATOL", "<=", "<",
