@@ -119,7 +119,7 @@ def average_fidelity(weights, nu: float) -> float | np.ndarray:
     per row.
     """
     weights = real_weights(weights)
-    family = MeasurementFamily.from_nu(weights.shape[-1], nu)
+    family = MeasurementFamily(nu=nu, dim=weights.shape[-1])
     fidelities = (family.a + family.b * weights) ** 2
     average = np.minimum(fidelities.sum(axis=-1), 1.0)
     return float(average) if average.ndim == 0 else average

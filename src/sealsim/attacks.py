@@ -47,11 +47,6 @@ class MeasurementFamily:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", math.sqrt((1.0 - nu) / self.dim + nu) - a)
 
-    @classmethod
-    def from_nu(cls, dim: int, nu: float) -> "MeasurementFamily":
-        """The complete N-operator family at read strength nu: two coefficients, no array."""
-        return cls(nu=nu, dim=dim)
-
     def outcome_probabilities(self, weights: np.ndarray) -> np.ndarray:
         """||Q_i c||^2 for every i, from the weights |c|^2 of a sealed row c.
 

@@ -100,7 +100,7 @@ def check_povm_completeness() -> Lines:
     worst_at = (0, 0.0)
     for n in COMPLETENESS_DIMS:
         for nu in NU_GRID_COARSE:
-            dev = MeasurementFamily.from_nu(n, nu).completeness_deviation()
+            dev = MeasurementFamily(nu=nu, dim=n).completeness_deviation()
             if dev > worst:
                 worst, worst_at = dev, (n, nu)
     return [
@@ -133,7 +133,7 @@ def _decode_closed_form_gap(seed: int) -> float:
         rows = _random_unit_rows(seed, n, 100)
         weights = np.abs(rows) ** 2
         for nu in NU_GRID_FINE:
-            ops = _dense_operators(MeasurementFamily.from_nu(n, nu))
+            ops = _dense_operators(MeasurementFamily(nu=nu, dim=n))
             # raw[i, r] = Q_i rows[r]; summing over the contiguous last axis
             # matches ||Q psi||^2 of tests/oracles.py's apply_and_normalize
             # bit for bit

@@ -84,6 +84,9 @@ class FamilyStrategy:
 
     nu: float
 
+    def __post_init__(self) -> None:
+        check_unit_interval("nu", self.nu)
+
     def describe(self) -> dict:
         return {"type": "family", "nu": self.nu}
 
@@ -93,6 +96,9 @@ class CoinTossStrategy:
     """Classical coin-toss attack with read probability q."""
 
     q: float
+
+    def __post_init__(self) -> None:
+        check_unit_interval("read probability", self.q)
 
     def describe(self) -> dict:
         return {"type": "coin", "q": self.q}
@@ -262,7 +268,7 @@ def run_experiment(config: ExperimentConfig) -> EmpiricalStats:
     n = len(weights)
 
     if isinstance(config.strategy, FamilyStrategy):
-        family = MeasurementFamily.from_nu(n, config.strategy.nu)
+        family = MeasurementFamily(nu=config.strategy.nu, dim=n)
         probs, pass_probs = _family_tables(weights, family)
         sample = _GuideTable(np.cumsum(probs))
 
@@ -271,7 +277,7 @@ def run_experiment(config: ExperimentConfig) -> EmpiricalStats:
             return outcomes, _uniform(words[:, 1]) < pass_probs[outcomes]
 
     else:
-        q = check_unit_interval("read probability", config.strategy.q)
+        q = config.strategy.q
         sample = _GuideTable(np.cumsum(weights))
 
         def tally(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -362,7 +368,7 @@ def stats_record(config: ExperimentConfig, stats: EmpiricalStats) -> dict:
     """JSON-ready record: {config, decode_counts, pass_count, trials}."""
     return {
         "config": config.describe(),
-        "decode_counts": [int(c) for c in stats.decode_counts],
+        "decode_counts": stats.decode_counts.tolist(),
         "pass_count": stats.pass_count,
         "trials": stats.trials,
     }

@@ -310,7 +310,7 @@ def replay_experiment(config: ExperimentConfig) -> EmpiricalStats:
 
     family: MeasurementFamily | None = None
     if isinstance(config.strategy, FamilyStrategy):
-        family = MeasurementFamily.from_nu(n, config.strategy.nu)
+        family = MeasurementFamily(nu=config.strategy.nu, dim=n)
 
     counts = np.zeros(n, dtype=np.int64)
     passes = 0

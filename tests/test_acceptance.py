@@ -281,7 +281,7 @@ def dense_loop_gap(seed: int) -> float:
     for n in (2, 4, 16):
         for row in claims._random_unit_rows(seed, n, 100):
             for nu in claims.NU_GRID_FINE:
-                family = MeasurementFamily.from_nu(n, nu)
+                family = MeasurementFamily(nu=nu, dim=n)
                 closed = decode_probabilities(unit_norm_weights(row, "row"), nu)
                 for i in range(n):
                     prob, _ = apply_and_normalize(family_operator(family, i), row)
@@ -314,7 +314,7 @@ def test_criterion_02_checks_the_grid_its_line_names(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 4, 16])
 def test_criterion_02_operator_array_is_the_stack_of_dense_operators(n):
     for nu in claims.NU_GRID_FINE:
-        family = MeasurementFamily.from_nu(n, nu)
+        family = MeasurementFamily(nu=nu, dim=n)
         stacked = np.stack([family_operator(family, i) for i in range(n)])
         ops = claims._dense_operators(family)
         # the same bits, signed zeros too, so the claim-2 matmul is unchanged

@@ -68,7 +68,7 @@ class TestDecodeMatrix:
                 raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 row = raw / np.linalg.norm(raw)
                 for nu in np.linspace(0, 1, 11):
-                    family = MeasurementFamily.from_nu(n, nu)
+                    family = MeasurementFamily(nu=nu, dim=n)
                     closed = decode_probabilities(weights_of(row), nu)
                     for i in range(n):
                         prob, _ = apply_and_normalize(family_operator(family, i), row)

@@ -31,22 +31,19 @@ def random_state(n: int, seed: int) -> np.ndarray:
     return raw / np.linalg.norm(raw)
 
 
-class TestFromNu:
+class TestConstructor:
     @pytest.mark.parametrize("n", [2, 4, 16, 256])
     @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_defining_identities(self, n, nu):
-        c = MeasurementFamily.from_nu(n, nu)
+        c = MeasurementFamily(nu=nu, dim=n)
         assert abs(c.a - math.sqrt((1 - nu) / n)) <= ATOL
         assert abs((c.a + c.b) ** 2 - ((1 - nu) / n + nu)) <= ATOL
         assert c.a >= 0.0 and c.b >= 0.0
 
     def test_nu_half_values(self):
-        c = MeasurementFamily.from_nu(2, 0.5)
+        c = MeasurementFamily(nu=0.5, dim=2)
         assert c.a == pytest.approx(math.sqrt(1 / 4), abs=ATOL)
         assert c.a + c.b == pytest.approx(math.sqrt(1 / 2 + 1 / 4), abs=ATOL)
-
-    def test_direct_construction_is_from_nu(self):
-        assert MeasurementFamily(nu=0.5, dim=4) == MeasurementFamily.from_nu(4, 0.5)
 
     def test_coefficients_are_not_init_fields(self):
         # nu and N fix a and b, so a family with a = b = 0 cannot be built
@@ -61,29 +58,29 @@ class TestFromNu:
 
     def test_range_checks(self):
         with pytest.raises(UsageError):
-            MeasurementFamily.from_nu(2, 1.5)
+            MeasurementFamily(nu=1.5, dim=2)
         with pytest.raises(UsageError):
-            MeasurementFamily.from_nu(2, -0.1)
+            MeasurementFamily(nu=-0.1, dim=2)
         with pytest.raises(UsageError):
-            MeasurementFamily.from_nu(0, 0.5)
+            MeasurementFamily(nu=0.5, dim=0)
 
     def test_no_dimension_cap(self, monkeypatch):
         # two coefficients allocate nothing, so no N is capped
         monkeypatch.setenv("SEALSIM_MAX_DIM", "8")
-        family = MeasurementFamily.from_nu(16, 0.5)
+        family = MeasurementFamily(nu=0.5, dim=16)
         assert (family.dim, family.nu) == (16, 0.5)
 
 
 class TestMeasurementFamily:
     def test_nu_one_is_projector(self):
-        family = MeasurementFamily.from_nu(3, 1.0)
+        family = MeasurementFamily(nu=1.0, dim=3)
         op = family_operator(family, 1)
         expected = np.zeros((3, 3))
         expected[1, 1] = 1.0
         assert np.allclose(op, expected, atol=ATOL)
 
     def test_nu_zero_is_scaled_identity(self):
-        family = MeasurementFamily.from_nu(4, 0.0)
+        family = MeasurementFamily(nu=0.0, dim=4)
         assert np.allclose(
             family_operator(family, 2), math.sqrt(0.25) * np.eye(4), atol=ATOL
         )
@@ -91,19 +88,19 @@ class TestMeasurementFamily:
     @pytest.mark.parametrize("n", [2, 4, 16, 256])
     @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_completeness(self, n, nu):
-        assert MeasurementFamily.from_nu(n, nu).completeness_deviation() <= ATOL
+        assert MeasurementFamily(nu=nu, dim=n).completeness_deviation() <= ATOL
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 128])
     @pytest.mark.parametrize("nu", NU_GRID_COARSE)
     def test_completeness_paths_agree(self, n, nu):
         # the closed form must match the dense sum of the n expansions;
         # they differ only by the rounding order of the n-term sum
-        family = MeasurementFamily.from_nu(n, nu)
+        family = MeasurementFamily(nu=nu, dim=n)
         assert abs(family.completeness_deviation() - dense_completeness_deviation(family)) <= 1e-13
 
     def test_structured_apply_matches_dense(self):
         for n in (2, 4, 16):
-            family = MeasurementFamily.from_nu(n, 0.7)
+            family = MeasurementFamily(nu=0.7, dim=n)
             for trial in range(100):
                 state = random_state(n, seed=n * 1000 + trial)
                 i = trial % n
@@ -113,7 +110,7 @@ class TestMeasurementFamily:
                 assert np.max(np.abs(post_fast - post_dense)) <= ATOL
 
     def test_outcome_probabilities_match_apply(self):
-        family = MeasurementFamily.from_nu(4, 0.4)
+        family = MeasurementFamily(nu=0.4, dim=4)
         state = random_state(4, seed=11)
         probs = family.outcome_probabilities(unit_norm_weights(state, "state"))
         for i in range(4):
@@ -121,12 +118,12 @@ class TestMeasurementFamily:
         assert abs(probs.sum() - 1.0) <= ATOL
 
     def test_outcome_probabilities_refuse_weights_of_another_length(self):
-        family = MeasurementFamily.from_nu(4, 0.4)
+        family = MeasurementFamily(nu=0.4, dim=4)
         with pytest.raises(UsageError):
             family.outcome_probabilities(np.full(3, 1.0 / 3))
 
     def test_operator_index_range(self):
-        family = MeasurementFamily.from_nu(2, 0.5)
+        family = MeasurementFamily(nu=0.5, dim=2)
         with pytest.raises(UsageError):
             family_operator(family, 2)
 
@@ -134,7 +131,7 @@ class TestMeasurementFamily:
 class TestRunAttack:
     def test_nu_zero_leaves_state_and_guesses_uniformly(self):
         sealed = product_seal(ProductSealSpec.shared_theta("01", math.pi / 6))
-        family = MeasurementFamily.from_nu(4, 0.0)
+        family = MeasurementFamily(nu=0.0, dim=4)
         rng = np.random.default_rng(3)
         counts = np.zeros(4)
         for _ in range(2000):
@@ -146,7 +143,7 @@ class TestRunAttack:
 
     def test_nu_one_on_perfect_seal_reads_exactly(self):
         sealed = OverlapMatrix.identity(4).coefficients[2]
-        family = MeasurementFamily.from_nu(4, 1.0)
+        family = MeasurementFamily(nu=1.0, dim=4)
         rng = np.random.default_rng(5)
         for _ in range(50):
             outcome = run_attack(sealed, family, rng)
@@ -155,7 +152,7 @@ class TestRunAttack:
 
     def test_decode_frequencies_track_closed_form(self):
         sealed = product_seal(ProductSealSpec.shared_theta("0", math.pi / 6))
-        family = MeasurementFamily.from_nu(2, 0.5)
+        family = MeasurementFamily(nu=0.5, dim=2)
         rng = np.random.default_rng(99)
         trials = 20_000
         hits = sum(run_attack(sealed, family, rng).decoded == 0 for _ in range(trials))
@@ -165,12 +162,12 @@ class TestRunAttack:
     def test_dimension_mismatch(self):
         sealed = product_seal(ProductSealSpec.shared_theta("0", 0.0))
         with pytest.raises(UsageError):
-            run_attack(sealed, MeasurementFamily.from_nu(4, 0.5), np.random.default_rng(0))
+            run_attack(sealed, MeasurementFamily(nu=0.5, dim=4), np.random.default_rng(0))
 
     def test_post_states_average_fidelity_at_nu_half(self):
         # the nu = 1/2 escape floor, sampled
         sealed = product_seal(ProductSealSpec.shared_theta("010", math.pi / 6))
-        family = MeasurementFamily.from_nu(8, 0.5)
+        family = MeasurementFamily(nu=0.5, dim=8)
         rng = np.random.default_rng(17)
         trials = 4000
         total = sum(

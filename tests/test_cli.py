@@ -345,6 +345,22 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            pytest.param(flags, message, id=" ".join(flags))
+            for flags, message in [
+                (("--nu", "7"), "nu must lie in [0, 1], got 7.0"),
+                (("--coin-q", "nan"), "read probability must lie in [0, 1], got nan"),
+                (("--nu", "7", "--trials", "0"), "nu must lie in [0, 1], got 7.0"),
+            ]
+        ],
+    )
+    def test_mc_strategy_out_of_range_is_named_first(self, capsys, flags, message):
+        # the strategy is checked when built, before the trial count
+        code, out, err = run_cli(capsys, "mc-validate", "--bits", "0", "--theta", "0", *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_nu_out_of_range(self, capsys):
         code, _, _ = run_cli(
             capsys, "decode-matrix", "--bits", "0", "--theta", "0", "--nu", "1.5"
@@ -1129,14 +1145,13 @@ class TestClaims:
         # completeness claim and turn the exit code to 1
         from sealsim.attacks import MeasurementFamily
 
-        original = MeasurementFamily.from_nu.__func__
+        original = MeasurementFamily.__post_init__
 
-        def broken(cls, dim, nu):
-            family = original(cls, dim, nu)
+        def broken(family):
+            original(family)
             object.__setattr__(family, "b", -family.b)
-            return family
 
-        monkeypatch.setattr(MeasurementFamily, "from_nu", classmethod(broken))
+        monkeypatch.setattr(MeasurementFamily, "__post_init__", broken)
         code, out, _ = run_cli(capsys, "claims", "--seed", "1", "--trials", "50")
         assert code == 1
         completeness_line = next(

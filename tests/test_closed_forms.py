@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -244,7 +244,7 @@ class TestOracles:
         for message in range(0, om.dim, max(1, om.dim // 4)):
             sealed = om.coefficients[message]
             for nu in (0.0, 0.37, 0.5, 0.9, 1.0):
-                family = MeasurementFamily.from_nu(om.dim, nu)
+                family = MeasurementFamily(nu=nu, dim=om.dim)
                 probs, pass_probs = _family_tables(om.weights[message], family)
                 for i in range(om.dim):
                     prob, post = family_apply(family, i, sealed)
@@ -313,7 +313,7 @@ class TestOracles:
     @pytest.mark.parametrize("nu", (0.0, 0.25, 0.3, 0.5, 0.75, 1.0))
     def test_completeness_matches_structured_accumulation(self, nu):
         n = 256
-        family = MeasurementFamily.from_nu(n, nu)
+        family = MeasurementFamily(nu=nu, dim=n)
         a, b = family.a, family.b
         diagonal = np.zeros(n)
         for i in range(n):
@@ -446,7 +446,7 @@ class TestProperties:
         assert np.max(np.abs(built.sum(axis=1) - 1.0)) <= NORM_ATOL
         stacks = [built] + [MATRICES[name].weights for name in CHECKED_MATRICES]
         for weights in stacks:
-            family = MeasurementFamily.from_nu(weights.shape[1], nu)
+            family = MeasurementFamily(nu=nu, dim=weights.shape[1])
             for row in weights:
                 assert abs(family.outcome_probabilities(row).sum() - 1.0) <= NORM_ATOL
 
@@ -463,7 +463,7 @@ def escape_floor_at_half(n: int) -> float:
     A row's escape is N a^2 + 2ab + b^2 sum w^2 with sum w = 1; N a^2 = 1/2
     at nu = 1/2, and sum w^2 >= 1/N with equality for a flat row.
     """
-    family = MeasurementFamily.from_nu(n, 0.5)
+    family = MeasurementFamily(nu=0.5, dim=n)
     return 0.5 + 2.0 * family.a * family.b + family.b**2 / n
 
 
@@ -563,8 +563,14 @@ class TestGuideTable:
     def test_bins_are_the_least_power_of_two_at_or_above_16_n(self, n, bins):
         assert _GuideTable(np.cumsum(np.full(n, 1.0 / n))).bins == bins
 
+    # the boundary sizes run whatever the derandomized draws are: N = 17 has a
+    # power of two in [15 N, 16 N), so it tells 16 N from 15 N bins
     @settings(derandomize=True, database=None, max_examples=80, deadline=None)
     @given(outcome_weights(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    @example(weights=np.full(1, 1.0), extra=[])
+    @example(weights=np.full(16, 1.0 / 16), extra=[])
+    @example(weights=np.full(17, 1.0 / 17), extra=[])
+    @example(weights=np.full(4096, 1.0 / 4096), extra=[])
     def test_gives_the_index_of_the_plain_search_per_draw(self, weights, extra):
         cumulative = np.cumsum(weights)
         table = _GuideTable(cumulative)

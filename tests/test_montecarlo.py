@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -7,8 +8,9 @@ import pytest
 
 import sealsim.montecarlo as mc
 
-from oracles import draw_table, replay_experiment, round_block
+from oracles import coin_toss_attack, draw_table, replay_experiment, round_block
 from sealsim.analysis import average_fidelity, decode_probabilities
+from sealsim.attacks import MeasurementFamily
 from sealsim.errors import DEFAULT_MAX_DIM, ResourceError, UsageError, ValidationError
 from sealsim.montecarlo import (
     CHI_SQUARE_LEVEL,
@@ -219,10 +221,24 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("q", [-0.1, 1.5, math.nan])
     def test_coin_probability_out_of_range_is_rejected_like_the_replay(self, q):
-        config = ExperimentConfig(seal=PI6_SPEC, strategy=CoinTossStrategy(q), trials=10, seed=1)
-        for path in (run_experiment, replay_experiment):
-            with pytest.raises(UsageError):
-                path(config)
+        # the strategy is refused when built, with the replay attack's message
+        with pytest.raises(UsageError) as built:
+            CoinTossStrategy(q)
+        with pytest.raises(UsageError) as replayed:
+            coin_toss_attack(np.array([1.0]), q, None)
+        assert str(built.value) == str(replayed.value)
+
+    @pytest.mark.parametrize("nu", [7.0, math.nan], ids=["out-of-range", "nan"])
+    def test_family_nu_out_of_range_is_rejected_like_the_family(self, nu):
+        with pytest.raises(UsageError) as built:
+            FamilyStrategy(nu)
+        with pytest.raises(UsageError) as family:
+            MeasurementFamily(nu=nu, dim=2)
+        assert str(built.value) == str(family.value)
+
+    def test_a_checked_strategy_describes_its_value_as_given(self):
+        assert json.dumps(FamilyStrategy(1).describe()) == '{"type": "family", "nu": 1}'
+        assert json.dumps(CoinTossStrategy(0).describe()) == '{"type": "coin", "q": 0}'
 
 
 CHUNK_TRIALS = 5003

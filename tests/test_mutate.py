@@ -42,6 +42,18 @@ def test_each_equivalent_mutant_is_found_once():
     assert [entry for entry, count in zip(mutate.EQUIVALENT, counts) if count != 1] == []
 
 
+def test_an_equivalent_entry_names_the_mutant_whose_token_it_holds():
+    # two mutants turn a 1 into a 2 on the guide table's bin-count line; the
+    # entry's text holds only the second token, so it names only that mutant
+    entry = next(entry for entry in mutate.EQUIVALENT if entry[1].endswith(".bit_length()"))
+    pair = [
+        mutant for mutant in every_mutant()
+        if mutant.text == "self.bins = 1 << (16 * len(cumulative) - 1).bit_length()"
+        and (mutant.old, mutant.new) == ("1", "2")
+    ]
+    assert [(mutant.col + 1, mutate.matches(entry, mutant)) for mutant in pair] == [(21, False), (50, True)]
+
+
 def test_each_mutant_changes_one_token_and_parses():
     # parsing the top-level statement that holds the mutant, not the module,
     # keeps this test fast

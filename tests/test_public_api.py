@@ -100,6 +100,7 @@ MOVED_METHODS = [
     ("MeasurementFamily", "apply"),
     ("MeasurementFamily", "operator"),
     ("ExperimentConfig", "sealed_state"),
+    ("MeasurementFamily", "from_nu"),  # MeasurementFamily(nu, dim) is the one constructor
 ]
 
 
@@ -223,7 +224,7 @@ def test_decode_matrix_is_a_read_only_array():
 
 
 def test_measurement_family_holds_its_coefficients():
-    family = sealsim.MeasurementFamily.from_nu(4, 0.5)
+    family = sealsim.MeasurementFamily(nu=0.5, dim=4)
     assert [f.name for f in dataclasses.fields(family)] == ["nu", "dim", "a", "b"]
     assert (family.nu, family.dim) == (0.5, 4)
     assert (family.a, family.b) == (0.125**0.5, 0.625**0.5 - 0.125**0.5)

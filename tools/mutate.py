@@ -54,7 +54,8 @@ COMPARISONS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), a
 ARITHMETIC = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"), ast.Div: ("/", "*"),
               ast.FloorDiv: ("//", "*"), ast.Mod: ("%", "//"), ast.Pow: ("**", "*")}
 
-# (module, text on the mutated line, old token, new token, why no test can kill it)
+# (module, text on the mutated line around its token, old token, new token, why no test
+# can kill it); the text must hold the mutant's token, which tells two mutants of a line apart
 EQUIVALENT = (
     ("errors.py", "bad = ~(np.abs(total - 1.0) <= NORM_ATOL)", "<=", "<",
      "a sum near 1 is off 1 by a multiple of 2**-53, which 1e-12 is not: never equal"),
@@ -73,6 +74,8 @@ EQUIVALENT = (
      "claim 6's uniform-seal deviation is a rounding error, never exactly 1e-12"),
     ("claims.py", 'worst <= EXACT_ATOL, f"max amplitude deviation', "<=", "<",
      "claim 10's deviation is a rounding error, never exactly 1e-12"),
+    ("montecarlo.py", "len(cumulative) - 1).bit_length()", "1", "2",
+     "16 N - 1 is odd, so it has the bit length of 16 N - 2"),
 )
 
 
@@ -84,6 +87,7 @@ class Mutant:
     old: str
     new: str
     text: str  # the original line, stripped
+    indent: int  # the characters stripped from the start of the line
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}: {self.old} -> {self.new}    {self.text}"
@@ -101,9 +105,13 @@ class Mutant:
 
 
 def matches(entry: tuple[str, str, str, str, str], mutant: Mutant) -> bool:
-    """Whether an EQUIVALENT entry names this mutant."""
+    """Whether an EQUIVALENT entry names this mutant: its text holds the mutant's token."""
     module, text, old, new, _ = entry
-    return (mutant.path.name, mutant.old, mutant.new) == (module, old, new) and text in mutant.text
+    if (mutant.path.name, mutant.old, mutant.new) != (module, old, new):
+        return False
+    at = mutant.col - mutant.indent  # the token's column in mutant.text
+    return any(mutant.text.startswith(text, start)
+               for start in range(max(at + len(old) - len(text), 0), at + 1))
 
 
 def _number_mutations(value) -> list:
@@ -199,7 +207,8 @@ def mutants(path: Path, functions: tuple[str, ...] = (), lines: set[int] | None 
             continue
         start = sites.line_starts[line - 1]
         text = source[start:sites.line_starts[line]]
-        found.append(Mutant(relative, line, offset - start, old, new, text.strip()))
+        indent = len(text) - len(text.lstrip())
+        found.append(Mutant(relative, line, offset - start, old, new, text.strip(), indent))
     return found
 
 
