@@ -17,7 +17,7 @@ _EXPORTS = {
     ),
     "attacks": "MeasurementFamily coin_toss_escape_probability coin_toss_probabilities",
     "claims": "ClaimResult format_report run_claims",
-    "errors": "ResourceError UsageError ValidationError",
+    "errors": "ResourceError UsageError",
     "montecarlo": (
         "CoinTossStrategy EmpiricalStats ExperimentConfig ExplicitSealSpec FamilyStrategy"
         " chi_square_check run_experiment stats_record"

@@ -172,7 +172,7 @@ def bit_seal_point(theta: float, nu: float) -> tuple[float, float]:
     fidelity.  Both are reported as computed; no inequality between them
     is asserted here.
     """
-    _check_angle(theta, UsageError)
+    _check_angle(theta)
     check_unit_interval("nu", nu)
     alpha = (1.0 - nu) / 2.0 + nu * math.cos(theta) ** 2
     row = np.array([math.cos(theta), math.sin(theta)], dtype=complex)

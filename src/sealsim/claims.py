@@ -237,8 +237,9 @@ def check_coin_toss_equivalence(seed: int, trials: int) -> Lines:
         f"{'exact' if exact else 'MISMATCH'}",
     )]
 
-    # each run is judged against its strategy's own row: the same row here
-    spec = ProductSealSpec.shared_theta("0", math.pi / 6)
+    # each run is judged against its strategy's own row: the same row here.
+    # The family run is claim 5's first, which _experiment runs once
+    spec = MC_FIXTURES[0]
     escapes = []
     for label, strategy in (
         ("family nu=1/2", FamilyStrategy(nu=0.5)),
@@ -334,11 +335,11 @@ def _guarded(number: int, key: str, description: str, check, *args) -> ClaimResu
 def run_claims(seed: int = 42, trials: int = 100_000) -> list[ClaimResult]:
     """Run every claim check; deterministic for fixed (seed, trials).
 
-    Out-of-range seed or trials, or a malformed dimension cap, raise
-    UsageError before any check runs, so they are never reported as
-    refuted claims.
+    A seed or trials that is not an integer or is out of range, or a
+    malformed dimension cap, raise UsageError before any check runs, so
+    they are never reported as refuted claims.
     """
-    check_trials_and_seed(trials, seed)
+    trials, seed = check_trials_and_seed(trials, seed)
     max_dim()
     _experiment.cache_clear()
     # built per call, not at import, so that a check_* replaced on the

@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import decode_matrix, tradeoff_sweep
 from .claims import format_report, run_claims
-from .errors import ResourceError, UsageError, ValidationError, check_unit_interval
+from .errors import ResourceError, UsageError, check_unit_interval
 from .montecarlo import (
     CoinTossStrategy,
     ExperimentConfig,
@@ -244,7 +244,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValidationError, OSError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceError as exc:

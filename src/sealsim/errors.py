@@ -11,11 +11,8 @@ NORM_ATOL = 1e-12
 
 
 class UsageError(ValueError):
-    """A caller passed arguments outside an operation's contract."""
-
-
-class ValidationError(ValueError):
-    """Input data violates a structural invariant (e.g. a non-unit row)."""
+    """Bad input: an argument, a flag, SEALSIM_MAX_DIM or a file's content
+    outside an operation's contract (a non-unit row, say)."""
 
 
 class ResourceError(RuntimeError):
@@ -57,7 +54,7 @@ def check_unit_interval(name: str, value: float) -> float:
 def unit_norm_weights(amplitudes: np.ndarray, what: str) -> np.ndarray:
     """|c|^2 of amplitudes whose squares sum to 1 along the last axis.
 
-    Raises ValidationError when a sum is off by more than NORM_ATOL or is
+    Raises UsageError when a sum is off by more than NORM_ATOL or is
     not finite, naming the offending rows of a stack.
     """
     with np.errstate(over="ignore"):  # a |c| too large to square sums to inf, refused below
@@ -66,8 +63,8 @@ def unit_norm_weights(amplitudes: np.ndarray, what: str) -> np.ndarray:
     bad = ~(np.abs(total - 1.0) <= NORM_ATOL)  # also rejects NaN and Inf
     if np.any(bad):
         if total.ndim == 0:
-            raise ValidationError(f"{what} is not unit-norm: sum |c|^2 = {float(total)!r}")
-        raise ValidationError(
+            raise UsageError(f"{what} is not unit-norm: sum |c|^2 = {float(total)!r}")
+        raise UsageError(
             f"{what} rows {np.flatnonzero(bad).tolist()} are not unit-norm "
             f"(sum |c|^2 = {total[bad].tolist()})"
         )

@@ -53,13 +53,24 @@ import numpy as np
 
 from .analysis import average_fidelity, decode_probabilities
 from .attacks import MeasurementFamily, coin_toss_escape_probability, coin_toss_probabilities
-from .errors import UsageError, ValidationError, check_unit_interval
+from .errors import UsageError, check_unit_interval
 from .seals import OverlapMatrix, ProductSealSpec, product_seal
 
 GENERATOR_NAME = "philox4x64"
 CHI_SQUARE_LEVEL = 0.999
 DRAWS_PER_ROUND = 4  # one Philox counter block
 CHUNK_ROUNDS = 1 << 12  # rounds per bulk block: 128 KiB of words, which stay in cache
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int; UsageError unless it is an int or a numpy integer.
+
+    A bool, a float and a str are refused, not converted: they would index
+    or seed as some other integer, or fail far from where they entered.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +81,7 @@ class ExplicitSealSpec:
     message: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "message", _integer("message", self.message))
         # a negative message would index a row from the end
         if not 0 <= self.message < self.overlaps.dim:
             raise UsageError(f"message {self.message} out of range for dim {self.overlaps.dim}")
@@ -108,14 +120,19 @@ SealSpec = Union[ProductSealSpec, ExplicitSealSpec]
 Strategy = Union[FamilyStrategy, CoinTossStrategy]
 
 
-def check_trials_and_seed(trials: int, seed: int) -> None:
-    """Raise UsageError unless 1 <= trials < 2**63 and seed fits 64 unsigned bits."""
+def check_trials_and_seed(trials: int, seed: int) -> tuple[int, int]:
+    """(trials, seed) as Python ints, checked: 1 <= trials < 2**63, 0 <= seed < 2**64.
+
+    Anything else, a bool, a float or a str too, raises UsageError.
+    """
+    trials, seed = _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
         raise UsageError(f"trials must be at least 1, got {trials}")
     if trials >= 2**63:  # more rounds than the int64 decode counts can hold
         raise UsageError(f"trials must be at most 2**63 - 1, got {trials}")
     if not 0 <= seed < 2**64:
         raise UsageError("seed must be a 64-bit unsigned integer")
+    return trials, seed
 
 
 @dataclass(frozen=True)
@@ -126,7 +143,9 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        check_trials_and_seed(self.trials, self.seed)
+        trials, seed = check_trials_and_seed(self.trials, self.seed)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
 
     def sealed_row(self) -> np.ndarray:
         """The read-only, unit-norm amplitude row of the sealed message."""
@@ -160,19 +179,19 @@ class EmpiricalStats:
     def __init__(self, decode_counts, pass_count: int, trials: int) -> None:
         counts = np.array(decode_counts, dtype=np.int64)
         if counts.ndim != 1:
-            raise ValidationError("decode_counts must be a 1-d histogram")
+            raise UsageError("decode_counts must be a 1-d histogram")
         if not np.array_equal(counts, decode_counts) or np.any(counts < 0):
-            raise ValidationError("decode counts must be whole numbers >= 0")
+            raise UsageError("decode counts must be whole numbers >= 0")
         if trials < 1:
-            raise ValidationError(f"trials must be at least 1, got {trials}")
+            raise UsageError(f"trials must be at least 1, got {trials}")
         if int(counts.sum()) != trials:
-            raise ValidationError(
+            raise UsageError(
                 f"decode counts sum to {int(counts.sum())}, expected {trials}"
             )
         if not float(pass_count).is_integer():
-            raise ValidationError(f"pass count must be a whole number, got {pass_count}")
+            raise UsageError(f"pass count must be a whole number, got {pass_count}")
         if not 0 <= pass_count <= trials:
-            raise ValidationError(f"pass count {pass_count} outside [0, {trials}]")
+            raise UsageError(f"pass count {pass_count} outside [0, {trials}]")
         counts.setflags(write=False)
         object.__setattr__(self, "decode_counts", counts)
         object.__setattr__(self, "pass_count", int(pass_count))

@@ -31,15 +31,15 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import UsageError, ValidationError, check_dim, unit_norm_weights
+from .errors import UsageError, check_dim, unit_norm_weights
 
 THETA_MAX = math.pi / 4
 
 
-def _check_angle(theta: float, error: type[ValueError] = ValidationError) -> None:
-    """Raise `error` unless 0 <= theta <= THETA_MAX (NaN fails too)."""
+def _check_angle(theta: float) -> None:
+    """Raise UsageError unless 0 <= theta <= THETA_MAX (NaN fails too)."""
     if not 0.0 <= theta <= THETA_MAX:
-        raise error(f"angle {theta} outside [0, pi/4]")
+        raise UsageError(f"angle {theta} outside [0, pi/4]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,9 +56,9 @@ class OverlapMatrix:
     def __init__(self, coefficients) -> None:
         arr = np.array(coefficients, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError(f"overlap matrix must be square, got {arr.shape}")
+            raise UsageError(f"overlap matrix must be square, got {arr.shape}")
         if arr.size == 0:
-            raise ValidationError("overlap matrix must be at least 1 x 1")
+            raise UsageError("overlap matrix must be at least 1 x 1")
         unit_norm_weights(arr, "overlap matrix")
         arr.setflags(write=False)
         object.__setattr__(self, "coefficients", arr)
@@ -89,12 +89,12 @@ class ProductSealSpec:
 
     def __post_init__(self) -> None:
         if not self.bits:
-            raise ValidationError("bit string must be non-empty")
+            raise UsageError("bit string must be non-empty")
         if set(self.bits) - {"0", "1"}:
-            raise ValidationError(f"bit string must be binary, got {self.bits!r}")
+            raise UsageError(f"bit string must be binary, got {self.bits!r}")
         object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
         if len(self.thetas) != len(self.bits):
-            raise ValidationError(
+            raise UsageError(
                 f"need one angle per bit: {len(self.bits)} bits, "
                 f"{len(self.thetas)} angles"
             )
@@ -146,7 +146,7 @@ def product_states(thetas, messages) -> np.ndarray:
     """
     thetas = [float(t) for t in thetas]
     if not thetas:
-        raise ValidationError("need at least one angle")
+        raise UsageError("need at least one angle")
     for t in thetas:
         _check_angle(t)
     dim = check_dim(2 ** len(thetas))
@@ -212,14 +212,14 @@ def _map_or_read(fh):
 
 @contextlib.contextmanager
 def _malformed_overlap_file(path):
-    """Raise a ValueError, OverflowError or RecursionError from path's JSON as ValidationError."""
+    """Raise a ValueError, OverflowError or RecursionError from path's JSON as UsageError."""
     try:
         yield
     except UsageError:
         raise  # a malformed SEALSIM_MAX_DIM is not a fault of the file
     except (ValueError, OverflowError, RecursionError) as exc:
         # not UTF-8 JSON, wrong keys or 'dim', nested too deep, ragged or non-numeric 'rows'
-        raise ValidationError(f"{path}: malformed overlap file: {exc!r}") from exc
+        raise UsageError(f"{path}: malformed overlap file: {exc!r}") from exc
 
 
 def _head_dim(head) -> int:
@@ -282,7 +282,7 @@ def load_overlap_matrix(path) -> OverlapMatrix:
 
     The file must hold one object with exactly the keys "dim", an integer
     N >= 1, and "rows", N rows of N [re, im] number pairs; anything else
-    raises ValidationError.  An N above the dimension cap raises
+    raises UsageError.  An N above the dimension cap raises
     ResourceError as soon as "dim" is read, before "rows" is checked or
     parsed; until then only the head and tail of a mapped file are read.
     The values are those json.load and np.asarray would give, bit for

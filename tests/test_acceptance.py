@@ -21,7 +21,7 @@ from sealsim import claims, montecarlo
 from sealsim.analysis import decode_probabilities
 from sealsim.attacks import MeasurementFamily
 from sealsim.cli import main
-from sealsim.errors import unit_norm_weights
+from sealsim.errors import UsageError, unit_norm_weights
 from sealsim.montecarlo import run_experiment
 from sealsim.seals import overlap_matrix
 
@@ -151,7 +151,7 @@ def test_criterion_11_claims_reports_are_byte_identical():
 
 
 def test_a_report_runs_each_experiment_once(monkeypatch):
-    # claim 7's family run is claim 5's first; a second report runs its own
+    # claim 7's family run is MC_FIXTURES[0], claim 5's first; a second report runs its own
     configs = []
 
     def counting(config):
@@ -160,9 +160,18 @@ def test_a_report_runs_each_experiment_once(monkeypatch):
 
     # claims runs experiments only through montecarlo.validate
     monkeypatch.setattr(montecarlo, "run_experiment", counting)
-    for _ in range(2):
+    for total in (4, 8):
         claims.run_claims(seed=SEED, trials=1000)
-    assert len(configs) == 8 and len(set(configs)) == 4
+        assert len(configs) == total
+    assert len(set(configs)) == 4
+
+
+@pytest.mark.parametrize(
+    "seed, trials", [(1.5, 1000), (SEED, 1000.0)], ids=["float-seed", "float-trials"]
+)
+def test_a_report_refuses_a_non_integer_seed_or_trials(seed, trials):
+    with pytest.raises(UsageError, match="must be an integer"):
+        claims.run_claims(seed=seed, trials=trials)
 
 
 def claims_report(capsys) -> tuple[int, list[list[str]]]:

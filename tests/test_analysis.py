@@ -16,7 +16,7 @@ from sealsim.analysis import (
     tradeoff_sweep,
 )
 from sealsim.attacks import MeasurementFamily
-from sealsim.errors import UsageError, ValidationError, unit_norm_weights
+from sealsim.errors import UsageError, unit_norm_weights
 from sealsim.montecarlo import ExperimentConfig, FamilyStrategy, chi_square_check, run_experiment
 from sealsim.seals import OverlapMatrix, ProductSealSpec, overlap_matrix
 
@@ -80,23 +80,23 @@ class TestDecodeMatrix:
 
     def test_nan_rows_are_stopped_where_the_weights_are_made(self):
         # decode_probabilities and average_fidelity take weights checked here
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="not unit-norm"):
             weights_of([math.nan, 1.0])
 
     def test_a_row_that_is_not_unit_norm_is_named_with_its_sum(self):
-        with pytest.raises(ValidationError) as one:
+        with pytest.raises(UsageError, match="not unit-norm") as one:
             weights_of([1.0, 0.5])
         assert str(one.value) == "amplitude row is not unit-norm: sum |c|^2 = 1.25"
         rows = np.eye(3, dtype=complex)
         rows[1, 0] = 0.5
-        with pytest.raises(ValidationError) as stack:
+        with pytest.raises(UsageError, match="not unit-norm") as stack:
             weights_of(rows)
         assert str(stack.value) == "amplitude row rows [1] are not unit-norm (sum |c|^2 = [1.25])"
         # a 3-d stack names its rows by flat index: row (1, 0) is row 2
         rows = np.zeros((2, 2, 3), dtype=complex)
         rows[..., 0] = 1.0
         rows[1, 0, 2] = 0.5
-        with pytest.raises(ValidationError) as deep:
+        with pytest.raises(UsageError, match="not unit-norm") as deep:
             weights_of(rows)
         assert str(deep.value) == "amplitude row rows [2] are not unit-norm (sum |c|^2 = [1.25])"
 
@@ -116,9 +116,9 @@ class TestDecodeMatrix:
     def test_a_stack_with_one_bad_row_is_stopped_where_the_weights_are_made(self):
         rows = np.eye(4, dtype=complex)
         rows[2, 2] = math.nan
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="not unit-norm"):
             weights_of(rows)
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="not unit-norm"):
             OverlapMatrix(rows)
 
 
@@ -250,7 +250,7 @@ class TestAverageFidelity:
         assert average_fidelity(stack, 0.5).tolist() == per_row
 
     def test_non_unit_row_is_stopped_where_the_weights_are_made(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="not unit-norm"):
             weights_of([1.0, 1.0])
 
     def test_refuses_amplitude_rows(self):

@@ -19,7 +19,7 @@ from sealsim.attacks import (
     coin_toss_probabilities,
 )
 from sealsim.claims import NU_GRID_COARSE
-from sealsim.errors import UsageError, ValidationError, unit_norm_weights
+from sealsim.errors import UsageError, unit_norm_weights
 from sealsim.seals import OverlapMatrix, ProductSealSpec, product_seal
 
 ATOL = 1e-12
@@ -242,8 +242,8 @@ class TestCoinToss:
     def test_non_unit_rows_are_rejected(self, closed_form, row):
         # coin_toss_probabilities takes weights, so it refuses amplitudes
         # outright; coin_toss_escape_probability checks their norms
-        error = UsageError if closed_form is coin_toss_probabilities else ValidationError
-        with pytest.raises(error):
+        message = "complex" if closed_form is coin_toss_probabilities else "not unit-norm"
+        with pytest.raises(UsageError, match=message):
             closed_form(np.asarray(row, dtype=complex), 0.5)
 
     def test_probabilities_refuse_unit_amplitude_rows(self):

@@ -17,7 +17,7 @@ from sealsim.cli import (
     _parse_grid,
     main,
 )
-from sealsim.errors import ResourceError, ValidationError
+from sealsim.errors import ResourceError, UsageError
 from sealsim.seals import (
     OverlapMatrix,
     ProductSealSpec,
@@ -699,19 +699,22 @@ class TestLambdaFileCache:
         assert entry != older and entry.suffix == ".raw"
 
     @pytest.mark.parametrize(
-        "text",
+        "text, message",
         [
-            '{"dim": 2, "rows": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}',
-            '{"dim": 2, "rows": [[[1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]}',
-            '{"dim": 1, "rows": [[[NaN, 0]]]}',
+            ('{"dim": 2, "rows": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}', "not unit-norm"),
+            (
+                '{"dim": 2, "rows": [[[1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]}',
+                "malformed overlap file",
+            ),
+            ('{"dim": 1, "rows": [[[NaN, 0]]]}', "not unit-norm"),
         ],
         ids=["non-unit", "ragged", "nan"],
     )
-    def test_a_malformed_file_is_never_cached(self, tmp_path, cache, text):
+    def test_a_malformed_file_is_never_cached(self, tmp_path, cache, text, message):
         path = tmp_path / "bad.json"
         path.write_text(text, encoding="utf-8")
         for _ in range(2):
-            with pytest.raises(ValidationError):
+            with pytest.raises(UsageError, match=message):
                 _load_lambda_file(path)
             assert entries(cache) == []
 

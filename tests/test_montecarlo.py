@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import sealsim.montecarlo as mc
 from oracles import coin_toss_attack, draw_table, replay_experiment, round_block
 from sealsim.analysis import average_fidelity, decode_probabilities
 from sealsim.attacks import MeasurementFamily
-from sealsim.errors import DEFAULT_MAX_DIM, ResourceError, UsageError, ValidationError
+from sealsim.errors import DEFAULT_MAX_DIM, ResourceError, UsageError
 from sealsim.montecarlo import (
     CHI_SQUARE_LEVEL,
     CHUNK_ROUNDS,
@@ -97,6 +98,26 @@ class TestExperimentConfig:
         with pytest.raises(UsageError):
             ExperimentConfig(seal=PI6_SPEC, strategy=FamilyStrategy(0.5), trials=1, seed=-1)
 
+    @pytest.mark.parametrize("field", ["trials", "seed"])
+    @pytest.mark.parametrize(
+        "value", [1.5, 1000.0, True, "1000"], ids=["float", "integral-float", "bool", "str"]
+    )
+    def test_trials_and_seed_must_be_integers(self, field, value):
+        # a float seed would run the seed it truncates to, a float trials fail in draw_chunks
+        given = {"trials": 1000, "seed": 1, field: value}
+        refusal = f"^{field} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(UsageError, match=refusal):
+            ExperimentConfig(seal=PI6_SPEC, strategy=FamilyStrategy(0.5), **given)
+
+    def test_numpy_integers_are_held_as_python_ints(self):
+        seal = ExplicitSealSpec(overlaps=OverlapMatrix.identity(4), message=np.int64(2))
+        config = ExperimentConfig(
+            seal=seal, strategy=FamilyStrategy(0.5), trials=np.int64(10), seed=np.uint64(3)
+        )
+        assert type(seal.message) is type(config.trials) is type(config.seed) is int
+        record = json.loads(json.dumps(stats_record(config, run_experiment(config))))
+        assert record["config"]["seed"] == 3 and record["config"]["seal"]["message"] == 2
+
     def test_describe_records_generator(self):
         config = ExperimentConfig(seal=PI6_SPEC, strategy=CoinTossStrategy(0.5), trials=10, seed=3)
         desc = config.describe()
@@ -112,6 +133,13 @@ class TestExperimentConfig:
         assert config.seal.message == 2
         assert config.describe()["seal"] == {"type": "general", "dim": 4, "message": 2}
 
+    @pytest.mark.parametrize("message", [1.5, True, "1"], ids=["float", "bool", "str"])
+    def test_explicit_message_must_be_an_integer(self, message):
+        # a float message indexed no row, a bool indexed the row of 0 or 1
+        refusal = f"^message must be an integer, got {re.escape(repr(message))}$"
+        with pytest.raises(UsageError, match=refusal):
+            ExplicitSealSpec(overlaps=OverlapMatrix.identity(4), message=message)
+
     def test_oversized_dimension_is_resource_error(self, monkeypatch):
         monkeypatch.setenv("SEALSIM_MAX_DIM", "4")
         spec = ProductSealSpec.shared_theta("000", 0.1)
@@ -122,27 +150,32 @@ class TestExperimentConfig:
 
 class TestEmpiricalStats:
     def test_counts_must_sum_to_trials(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="decode counts sum to 2, expected 3"):
             EmpiricalStats(decode_counts=[1, 1], pass_count=0, trials=3)
 
     def test_pass_count_bounded(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match=r"pass count 4 outside \[0, 3\]"):
             EmpiricalStats(decode_counts=[2, 1], pass_count=4, trials=3)
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match=r"pass count -1 outside \[0, 3\]"):
             EmpiricalStats(decode_counts=[2, 1], pass_count=-1, trials=3)
 
     def test_counts_must_be_one_dimensional(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="1-d histogram"):
             EmpiricalStats(decode_counts=[[1, 1], [1, 0]], pass_count=0, trials=3)
 
     @pytest.mark.parametrize(
-        "counts, pass_count, trials",
-        [([2.5, 0.5], 1, 2), ([2, 0], 1.7, 2), ([3, -1], 1, 2), ([0, 0], 0, 0)],
+        "counts, pass_count, trials, message",
+        [
+            ([2.5, 0.5], 1, 2, "whole numbers >= 0"),
+            ([2, 0], 1.7, 2, "pass count must be a whole number"),
+            ([3, -1], 1, 2, "whole numbers >= 0"),
+            ([0, 0], 0, 0, "trials must be at least 1"),
+        ],
         ids=["fractional-count", "fractional-pass-count", "negative-count", "no-trials"],
     )
-    def test_a_histogram_it_cannot_hold_is_refused(self, counts, pass_count, trials):
+    def test_a_histogram_it_cannot_hold_is_refused(self, counts, pass_count, trials, message):
         # the checks read a histogram per cell and divide by trials
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match=message):
             EmpiricalStats(decode_counts=counts, pass_count=pass_count, trials=trials)
 
     def test_whole_counts_are_held_as_int64(self):

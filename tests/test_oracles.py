@@ -13,7 +13,7 @@ from oracles import (
     tensor_product,
     unit_row,
 )
-from sealsim.errors import UsageError, ValidationError, unit_norm_weights
+from sealsim.errors import UsageError, unit_norm_weights
 
 ATOL = 1e-12
 
@@ -24,16 +24,16 @@ def state(*amps) -> np.ndarray:
 
 class TestUnitNormWeights:
     def test_norm_enforced(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="not unit-norm"):
             unit_norm_weights(np.array([1.0, 1.0], dtype=complex), "state")
 
     def test_norm_tolerance_is_tight(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="not unit-norm"):
             unit_norm_weights(np.array([math.sqrt(1.0 + 1e-9), 0.0], dtype=complex), "state")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_amplitudes_are_rejected(self, bad):
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="not unit-norm"):
             unit_norm_weights(np.array([bad, 0.0], dtype=complex), "state")
 
 
@@ -65,7 +65,7 @@ class TestTensorProduct:
             tensor_product([])
 
     def test_non_normalized_factor_is_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="not unit-norm"):
             tensor_product([state(1, 0), np.array([0.9, 0.1])])
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2), (4, 2, 2, 2)])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import unit_row, verify_seal
-from sealsim.errors import ResourceError, UsageError, ValidationError
+from sealsim.errors import ResourceError, UsageError
 from sealsim.montecarlo import ExperimentConfig, ExplicitSealSpec, FamilyStrategy, run_experiment
 from sealsim.seals import (
     OverlapMatrix,
@@ -45,22 +45,22 @@ def entrywise_overlap(i_bits: str, j_bits: str, thetas) -> float:
 
 class TestOverlapMatrix:
     def test_rows_must_be_unit(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="not unit-norm"):
             OverlapMatrix([[1.0, 0.5], [0.0, 1.0]])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_non_finite_rows_are_rejected(self, bad):
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="not unit-norm"):
             OverlapMatrix([[bad, 0.0], [0.0, 1.0]])
 
     def test_must_be_square(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="must be square"):
             OverlapMatrix(np.eye(2)[:1])
 
     def test_must_not_be_empty(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="at least 1 x 1"):
             OverlapMatrix(np.zeros((0, 0)))
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="at least 1 x 1"):
             OverlapMatrix.identity(0)
         assert OverlapMatrix.identity(1).dim == 1
 
@@ -69,7 +69,7 @@ class TestOverlapMatrix:
         rows[0, 0] = math.sqrt(1.0 + 0.5e-12)
         OverlapMatrix(rows)
         rows[0, 0] = math.sqrt(1.0 + 1.5e-12)
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="not unit-norm"):
             OverlapMatrix(rows)
 
     def test_identity(self):
@@ -80,21 +80,21 @@ class TestOverlapMatrix:
 
 class TestProductSealSpec:
     def test_rejects_empty_bits(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="bit string must be non-empty"):
             ProductSealSpec("", ())
 
     def test_rejects_non_binary_bits(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="bit string must be binary"):
             ProductSealSpec("012", (0.1, 0.1, 0.1))
 
     def test_rejects_angle_outside_range(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match=r"outside \[0, pi/4\]"):
             ProductSealSpec("0", (math.pi / 3,))
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match=r"outside \[0, pi/4\]"):
             ProductSealSpec("0", (-0.1,))
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="need one angle per bit"):
             ProductSealSpec("01", (0.1,))
 
     def test_message_is_big_endian(self):
@@ -193,13 +193,13 @@ class TestProductStates:
 
     @pytest.mark.parametrize("theta", [-0.1, math.pi / 3, math.nan])
     def test_rejects_angle_outside_range(self, theta):
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match=r"outside \[0, pi/4\]"):
             product_states((0.1, theta), [0])
 
     def test_product_seal_rejects_angle_outside_range(self):
         spec = ProductSealSpec.shared_theta("01", 0.1)
         object.__setattr__(spec, "thetas", (0.1, math.pi / 3))  # bypass the spec's own check
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match=r"outside \[0, pi/4\]"):
             product_seal(spec)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
@@ -213,7 +213,7 @@ class TestProductStates:
             product_states((0.1, 0.2), messages)
 
     def test_rejects_no_angles(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="need at least one angle"):
             product_states((), [0])
 
     def test_dimension_cap(self, monkeypatch):
@@ -308,20 +308,20 @@ class TestOverlapMatrixFiles:
         path = tmp_path / "bad.json"
         rows = [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
         path.write_text(json.dumps({"dim": 2, "rows": rows}))
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="not unit-norm"):
             load_overlap_matrix(path)
 
     def test_missing_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"dim": 2}))
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="malformed overlap file"):
             load_overlap_matrix(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         rows = [[[1.0, 0.0]], [[1.0, 0.0]]]
         path.write_text(json.dumps({"dim": 2, "rows": rows}))
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="malformed overlap file"):
             load_overlap_matrix(path)
 
     @pytest.mark.parametrize("name", GOLDEN_FILES)
@@ -397,7 +397,7 @@ class TestOverlapMatrixFiles:
         monkeypatch.setenv("SEALSIM_MAX_DIM", str(10**12))
         path = tmp_path / "bad.json"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(ValidationError):
+        with pytest.raises(UsageError, match="malformed overlap file"):
             load_overlap_matrix(path)
 
     @pytest.mark.parametrize("dim_first", [True, False], ids=["dim-first", "dim-last"])
@@ -502,7 +502,7 @@ def reference_coefficients(data: bytes) -> bytes | None:
     try:
         arr = np.array(rows, dtype=float)
         return OverlapMatrix(arr.view(np.complex128)[..., 0]).coefficients.tobytes()
-    except (OverflowError, ValidationError):
+    except (OverflowError, UsageError):
         return None
 
 
@@ -515,7 +515,8 @@ class TestLoaderAgreesWithJsonLoad:
             path = Path(directory) / "seal.json"
             path.write_bytes(data)
             if expected is None:
-                with pytest.raises((ValidationError, ResourceError)):
+                refusal = "malformed overlap file|not unit-norm|exceeds the cap"
+                with pytest.raises((UsageError, ResourceError), match=refusal):
                     load_overlap_matrix(path)
             else:
                 assert load_overlap_matrix(path).coefficients.tobytes() == expected
